@@ -212,8 +212,10 @@ type Options struct {
 	Strategy Strategy
 	// Seed drives all randomness (default 1).
 	Seed uint64
-	// Walks is the Monte Carlo sample count per endpoint
-	// (AbWalk default 2000, BiPush default 500).
+	// Walks is the Monte Carlo sample count per correction side (AbWalk
+	// default 2000, BiPush default 500). AbWalk and BiPush run one side
+	// per endpoint; portfolio-routed BiPush over exact (DiagExactCG)
+	// columns runs a single side.
 	Walks int
 	// Theta is the push degree-normalized residual threshold
 	// (Push default 1e-4, BiPush default 1e-2).

@@ -315,40 +315,24 @@ func (w *batchWorker) close() {
 }
 
 // attempt runs one full-fidelity attempt of query q with the given seed.
-// With a portfolio it routes the query to the cheapest landmark and falls
-// back across the members on conflict; without one it always uses the
-// engine landmark.
+// With a portfolio it routes the query through routePair (cheapest
+// landmark first, falling back across the members on conflict, exact
+// columns handed to BiPush); without one it always uses the engine
+// landmark. When every member conflicts the OnConflict policy decides
+// (ConflictExact answers with the exact solver).
 func (e *BatchEngine) attempt(ctx context.Context, w *batchWorker, q PairQuery, seed uint64) (Estimate, error) {
-	p := e.portfolio
-	if p == nil {
-		return e.attemptAt(ctx, w, 0, q, seed)
+	if e.portfolio == nil {
+		return e.attemptAt(ctx, w, 0, nil, q, seed)
 	}
-	for _, j := range p.Route(q.S, q.T) {
-		if v := p.Landmarks[j]; v == q.S || v == q.T {
-			p.NoteFallback()
-			e.metrics.RouterFallbacks.Inc()
-			continue
-		}
-		res, err := e.attemptAt(ctx, w, j, q, seed)
-		if errors.Is(err, ErrLandmarkConflict) {
-			p.NoteFallback()
-			e.metrics.RouterFallbacks.Inc()
-			continue
-		}
-		if err == nil {
-			p.NoteRouted(j)
-			e.metrics.PortfolioQueries.Inc()
-		}
-		return res, err
-	}
-	// Every member collided with s or t; let the OnConflict policy decide
-	// (ConflictExact answers with the exact solver).
-	return Estimate{}, fmt.Errorf("landmarkrd: every portfolio landmark conflicts with query (%d,%d): %w", q.S, q.T, ErrLandmarkConflict)
+	return routePair(e.portfolio, e.metrics, q.S, q.T, func(j int, diag []float64) (Estimate, error) {
+		return e.attemptAt(ctx, w, j, diag, q, seed)
+	})
 }
 
-// attemptAt runs one attempt of query q against portfolio position j,
-// recovering a panicking estimator into a typed internal error.
-func (e *BatchEngine) attemptAt(ctx context.Context, w *batchWorker, j int, q PairQuery, seed uint64) (Estimate, error) {
+// attemptAt runs one attempt of query q against portfolio position j
+// (diag: its exact column, or nil), recovering a panicking estimator into
+// a typed internal error.
+func (e *BatchEngine) attemptAt(ctx context.Context, w *batchWorker, j int, diag []float64, q PairQuery, seed uint64) (Estimate, error) {
 	est, err := w.estimator(j)
 	if err != nil {
 		return Estimate{}, fatalError{err}
@@ -360,7 +344,7 @@ func (e *BatchEngine) attemptAt(ctx context.Context, w *batchWorker, j int, q Pa
 	var res Estimate
 	err = guard.Run(func() error {
 		var perr error
-		res, perr = est.PairContext(ctx, q.S, q.T)
+		res, perr = est.pairDiagContext(ctx, q.S, q.T, diag)
 		return perr
 	})
 	if errors.Is(err, guard.ErrInternal) {

@@ -381,6 +381,43 @@ func BenchmarkPortfolioRoute(b *testing.B) {
 	}
 }
 
+// BenchmarkPortfolioPairRoad measures a routed BiPush pair query on a
+// road-like 16×16 grid over a K=4 exact portfolio, issued as one-pair
+// PairsContext calls the way rdserver answers a cache miss: with exact
+// columns the query is index-assisted (one correction side). walk-steps/op
+// is the hardware-independent kernel work per query.
+func BenchmarkPortfolioPairRoad(b *testing.B) {
+	g, err := landmarkrd.Grid(16, 16, 0.08, 2023)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := landmarkrd.BuildPortfolioIndex(g, landmarkrd.PortfolioBuildOptions{K: 4, Mode: landmarkrd.DiagExactCG, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := landmarkrd.NewBatchEngine(g, landmarkrd.BiPush, landmarkrd.BatchOptions{
+		Options: landmarkrd.Options{Seed: 1}, Portfolio: p,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := randx.New(23)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, t := pairOn(g, rng, -1)
+		res, err := eng.PairsContext(ctx, []landmarkrd.PairQuery{{S: s, T: t}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res[0].Err != nil {
+			b.Fatal(res[0].Err)
+		}
+	}
+	b.ReportMetric(float64(eng.Stats().WalkSteps)/float64(b.N), "walk-steps/op")
+}
+
 // BenchmarkPortfolioSingleSource measures the routed single-source query
 // (one grounded solve at the cheapest landmark plus the column algebra).
 func BenchmarkPortfolioSingleSource(b *testing.B) {

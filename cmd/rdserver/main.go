@@ -65,7 +65,7 @@ func main() {
 		addrFlag     = flag.String("addr", ":8080", "HTTP listen address")
 		methodFlag   = flag.String("method", "bipush", "estimator: abwalk, push, or bipush")
 		seedFlag     = flag.Uint64("seed", 1, "random seed")
-		walksFlag    = flag.Int("walks", 0, "Monte Carlo walks per endpoint (0 = method default)")
+		walksFlag    = flag.Int("walks", 0, "Monte Carlo walks per correction side (0 = method default)")
 		thetaFlag    = flag.Float64("theta", 0, "push residual threshold (0 = method default)")
 		timeoutFlag  = flag.Duration("timeout", 5*time.Second, "per-query time budget (0 disables)")
 		inflightFlag = flag.Int("max-inflight", 16, "max concurrent queries before 429")

@@ -52,6 +52,17 @@ func (e *Estimator) PairContext(ctx context.Context, s, t int) (Estimate, error)
 	}
 }
 
+// pairDiagContext is PairContext handed the routed landmark's exact
+// diagonal column (nil when the column is not exact): BiPush then answers
+// index-assisted with one correction side (core.PairDiagContext); every
+// other method, and a nil diag, answers exactly as PairContext.
+func (e *Estimator) pairDiagContext(ctx context.Context, s, t int, diag []float64) (Estimate, error) {
+	if e.method == BiPush {
+		return e.bipush.PairDiagContext(ctx, s, t, diag)
+	}
+	return e.PairContext(ctx, s, t)
+}
+
 // SingleSourceContext is SingleSource with cancellation: the grounded
 // column solve aborts once ctx is done, returning an error matching
 // ErrCanceled.

@@ -62,6 +62,9 @@ type Pusher struct {
 	marked  []bool
 	inQueue []bool
 	queue   []int32
+	// resNodes/resVals back Residuals, reused across runs.
+	resNodes []int32
+	resVals  []float64
 }
 
 // NewPusher returns a Pusher for landmark v on g.
@@ -240,14 +243,17 @@ func (p *Pusher) GroundedEntry(x int) float64 {
 }
 
 // Residuals returns the vertices with positive residual and their values.
-// The slices alias internal state and are valid until the next Run.
+// The slices alias internal scratch and are valid until the next
+// Residuals or Run call.
 func (p *Pusher) Residuals() (nodes []int32, values []float64) {
+	nodes, values = p.resNodes[:0], p.resVals[:0]
 	for _, u := range p.touched {
 		if p.res[u] > 0 {
 			nodes = append(nodes, u)
 			values = append(values, p.res[u])
 		}
 	}
+	p.resNodes, p.resVals = nodes, values
 	return nodes, values
 }
 

@@ -222,7 +222,9 @@ func (e *PortfolioEstimator) Pair(s, t int) (Estimate, error) {
 // ascending cost-law order; one that equals s or t is skipped (counted as
 // a RouterFallback). Only if every landmark conflicts does the query fail
 // with ErrLandmarkConflict — with K ≥ 3 distinct landmarks that cannot
-// happen.
+// happen. With DiagExactCG columns a BiPush query is index-assisted: the
+// routed column supplies the exact landmark diagonal and one correction
+// side runs instead of two (core.BiPushEstimator.PairDiagContext).
 func (e *PortfolioEstimator) PairContext(ctx context.Context, s, t int) (Estimate, error) {
 	g := e.p.G
 	if err := g.ValidateVertex(s); err != nil {
@@ -231,25 +233,42 @@ func (e *PortfolioEstimator) PairContext(ctx context.Context, s, t int) (Estimat
 	if err := g.ValidateVertex(t); err != nil {
 		return Estimate{}, err
 	}
-	for _, j := range e.p.Route(s, t) {
-		v := e.p.Landmarks[j]
-		if v == s || v == t {
-			e.p.NoteFallback()
-			e.metrics.RouterFallbacks.Inc()
+	return routePair(e.p, e.metrics, s, t, func(j int, diag []float64) (Estimate, error) {
+		return e.ests[j].pairDiagContext(ctx, s, t, diag)
+	})
+}
+
+// routePair is the portfolio routing loop shared by PortfolioEstimator and
+// the batch engine: positions are tried in ascending cost-law order
+// (PortfolioIndex.Route); one whose landmark equals s or t, or whose
+// attempt reports ErrLandmarkConflict, is skipped and counted as a router
+// fallback; the first other outcome is returned, and counted as routed
+// when it succeeded. run answers the query at position j, handed the
+// column r(·, ℓ_j) when the portfolio's columns are exact (DiagExactCG)
+// and nil otherwise, so only exact columns reach index-assisted BiPush.
+func routePair(p *PortfolioIndex, m *Metrics, s, t int, run func(j int, diag []float64) (Estimate, error)) (Estimate, error) {
+	for _, j := range p.Route(s, t) {
+		if v := p.Landmarks[j]; v == s || v == t {
+			p.NoteFallback()
+			m.RouterFallbacks.Inc()
 			continue
 		}
-		res, err := e.ests[j].PairContext(ctx, s, t)
-		if err != nil {
-			if errors.Is(err, ErrLandmarkConflict) {
-				e.p.NoteFallback()
-				e.metrics.RouterFallbacks.Inc()
-				continue
-			}
-			return res, err
+		var diag []float64
+		if p.Mode == DiagExactCG {
+			diag = p.Cols[j]
 		}
-		e.p.NoteRouted(j)
-		e.metrics.PortfolioQueries.Inc()
-		return res, nil
+		res, err := run(j, diag)
+		if errors.Is(err, ErrLandmarkConflict) {
+			p.NoteFallback()
+			m.RouterFallbacks.Inc()
+			continue
+		}
+		if err == nil {
+			p.NoteRouted(j)
+			m.PortfolioQueries.Inc()
+		}
+		return res, err
 	}
+	// Every member collided with s or t.
 	return Estimate{}, fmt.Errorf("landmarkrd: every portfolio landmark conflicts with query (%d,%d): %w", s, t, ErrLandmarkConflict)
 }

@@ -24,7 +24,9 @@
 //
 // Exact values (for validation, or when n is small) come from Exact, which
 // solves the grounded Laplacian system by preconditioned conjugate
-// gradients. Single-source workloads use BuildLandmarkIndex + SingleSource.
+// gradients. Single-source workloads build a landmark index with
+// BuildPortfolioIndex (one landmark is the K=1 case) and query it with
+// PortfolioSingleSource.
 package landmarkrd
 
 import (
@@ -206,9 +208,8 @@ type Estimate = core.Estimate
 
 // Options configures NewEstimator. The zero value is usable.
 type Options struct {
-	// Landmark fixes the landmark vertex; -1 or unset (0 with
-	// LandmarkStrategySet false) selects via Strategy. Use the
-	// NewEstimatorAt constructor to pin an explicit landmark.
+	// Strategy selects the landmark (default MaxDegree). Use the
+	// NewEstimatorAt constructor to pin an explicit landmark instead.
 	Strategy Strategy
 	// Seed drives all randomness (default 1).
 	Seed uint64
@@ -395,10 +396,8 @@ func SelectLandmark(g *Graph, s Strategy, seed uint64) (int, error) {
 	return core.SelectLandmark(g, s, randx.New(seed))
 }
 
-// LandmarkIndex re-exports the single-source index.
-type LandmarkIndex = core.Index
-
-// DiagMode selects how the index diagonal is built.
+// DiagMode selects how an index column (the grounded diagonal of one
+// landmark) is built.
 type DiagMode = core.DiagMode
 
 // Index diagonal build modes.
@@ -409,7 +408,7 @@ const (
 )
 
 // PrecondMode selects the preconditioner the grounded CG solves use — in
-// exact index builds and in every SingleSource query solve.
+// exact index builds and in every PortfolioSingleSource query solve.
 type PrecondMode = core.PrecondMode
 
 // Preconditioner modes. PrecondJacobi (the zero value) is the historical
@@ -427,61 +426,6 @@ const (
 // ParsePrecondMode parses "none", "jacobi", "chol", or "auto" (the -precond
 // flag syntax of the cmd tools).
 func ParsePrecondMode(s string) (PrecondMode, error) { return core.ParsePrecondMode(s) }
-
-// BuildLandmarkIndex precomputes r(t, landmark) for all t so that
-// single-source queries need only one grounded column computation. The
-// build parallelizes across GOMAXPROCS workers; use BuildLandmarkIndexOpts
-// to control the worker count or collect build metrics.
-func BuildLandmarkIndex(g *Graph, landmark int, mode DiagMode, seed uint64) (*LandmarkIndex, error) {
-	return BuildLandmarkIndexOpts(g, landmark, IndexBuildOptions{Mode: mode, Seed: seed})
-}
-
-// IndexBuildOptions configures BuildLandmarkIndexOpts. The zero value
-// builds a DiagExactCG index with seed 1 and GOMAXPROCS workers.
-type IndexBuildOptions struct {
-	// Mode selects the diagonal builder (DiagExactCG, DiagMC, DiagSketch).
-	Mode DiagMode
-	// Seed drives all randomness (default 1).
-	Seed uint64
-	// Workers shards the per-vertex build work across a worker pool
-	// (default GOMAXPROCS; 1 forces a sequential build). For a fixed seed
-	// the resulting index is byte-identical regardless of worker count.
-	Workers int
-	// Precond selects the CG preconditioner for the exact build and all
-	// subsequent SingleSource query solves (default PrecondJacobi; see
-	// PrecondMode). The resolved choice is recorded in the index's Precond
-	// field.
-	Precond PrecondMode
-	// Metrics, when non-nil, receives the build observability: an
-	// IndexBuilds increment, the build wall time in the IndexBuildTime
-	// histogram, and (for DiagMC) walk-work counters merged from the
-	// worker pool.
-	Metrics *Metrics
-}
-
-// BuildLandmarkIndexOpts is BuildLandmarkIndex with explicit control over
-// the parallel build.
-func BuildLandmarkIndexOpts(g *Graph, landmark int, opts IndexBuildOptions) (*LandmarkIndex, error) {
-	if err := requireGraph(g); err != nil {
-		return nil, err
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	return core.BuildIndex(g, landmark, core.IndexOptions{
-		Mode:        opts.Mode,
-		Workers:     opts.Workers,
-		Metrics:     opts.Metrics,
-		Precond:     opts.Precond,
-		PrecondSeed: seed,
-	}, randx.New(seed))
-}
-
-// SingleSource returns r(s, t) for every t using the index.
-func SingleSource(idx *LandmarkIndex, s int) ([]float64, error) {
-	return idx.SingleSource(s, core.SingleSourceOptions{})
-}
 
 // LapSolver answers exact resistance queries with an amortized
 // approximate-Cholesky-preconditioned CG solver: build once (nearly linear
@@ -512,33 +456,6 @@ func BuildSketch(g *Graph, epsilon float64, seed uint64) (*Sketch, error) {
 		return nil, err
 	}
 	return sketch.Build(g, sketch.Options{Epsilon: epsilon}, randx.New(seed))
-}
-
-// MultiLandmarkEstimator combines BiPush estimates over several landmarks
-// (median), improving robustness to badly placed landmarks and serving
-// queries that touch one of them.
-type MultiLandmarkEstimator = core.MultiLandmarkEstimator
-
-// NewMultiLandmark builds a multi-landmark BiPush estimator with the given
-// number of landmarks (0 = default 3).
-func NewMultiLandmark(g *Graph, landmarks int, opts Options) (*MultiLandmarkEstimator, error) {
-	if err := requireGraph(g); err != nil {
-		return nil, err
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	return core.NewMultiLandmarkEstimator(g, core.MultiLandmarkOptions{
-		Landmarks: landmarks,
-		Strategy:  opts.Strategy,
-		PerLandmark: core.BiPushOptions{
-			PushTheta: opts.Theta,
-			Walks:     opts.Walks,
-			MaxSteps:  opts.MaxSteps,
-			MaxOps:    opts.MaxOps,
-		},
-	}, randx.New(seed))
 }
 
 // PairWithinEps answers a Push query whose deterministic error is at most

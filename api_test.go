@@ -138,14 +138,17 @@ func TestLandmarkIndexAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := landmarkrd.BuildLandmarkIndex(g, v, landmarkrd.DiagExactCG, 1)
+	idx, err := landmarkrd.BuildPortfolioIndex(g, landmarkrd.PortfolioBuildOptions{Landmarks: []int{v}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := (v + 3) % g.N()
-	all, err := landmarkrd.SingleSource(idx, s)
+	all, served, err := landmarkrd.PortfolioSingleSource(idx, s)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if served != v {
+		t.Errorf("served by landmark %d, want %d", served, v)
 	}
 	for _, u := range []int{0, 100, 199} {
 		if u == s {
@@ -236,9 +239,15 @@ func TestElectricFlowAPI(t *testing.T) {
 	}
 }
 
+// TestMultiLandmarkAPI estimates a pair through a K=3 portfolio: the
+// public multi-landmark estimator.
 func TestMultiLandmarkAPI(t *testing.T) {
 	g, _ := landmarkrd.BarabasiAlbert(300, 4, 22)
-	m, err := landmarkrd.NewMultiLandmark(g, 3, landmarkrd.Options{Seed: 5, Walks: 800})
+	p, err := landmarkrd.BuildPortfolioIndex(g, landmarkrd.PortfolioBuildOptions{K: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := landmarkrd.NewPortfolioEstimator(p, landmarkrd.BiPush, landmarkrd.Options{Seed: 5, Walks: 800})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,6 +264,27 @@ func TestMultiLandmarkAPI(t *testing.T) {
 	}
 	if math.Abs(res.Value-want) > 0.05*math.Max(want, 0.2) {
 		t.Errorf("multi-landmark = %v, want %v", res.Value, want)
+	}
+	if res, err := m.Pair(9, 9); err != nil || res.Value != 0 || !res.Converged {
+		t.Errorf("Pair(s,s) = %+v, %v", res, err)
+	}
+	if _, err := m.Pair(-1, 5); err == nil {
+		t.Error("invalid vertex accepted")
+	}
+	// Random selection still yields K distinct landmarks.
+	rp, err := landmarkrd.BuildPortfolioIndex(g, landmarkrd.PortfolioBuildOptions{K: 4, Strategy: landmarkrd.RandomVertex, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	for _, v := range rp.Landmarks {
+		if seen[v] {
+			t.Errorf("duplicate landmark %d in %v", v, rp.Landmarks)
+		}
+		seen[v] = true
+	}
+	if len(rp.Landmarks) != 4 {
+		t.Errorf("RandomVertex portfolio has %d landmarks, want 4", len(rp.Landmarks))
 	}
 }
 

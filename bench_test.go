@@ -267,16 +267,19 @@ func BenchmarkLandmarkIndexBuildMC(b *testing.B) {
 	}
 	v := g.MaxDegreeVertex()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.BuildIndex(g, v, core.IndexOptions{Mode: core.DiagMC, WalksPerVertex: 16}, randx.New(uint64(i))); err != nil {
+		if _, err := core.BuildPortfolio(g, core.PortfolioOptions{
+			Landmarks: []int{v}, Mode: core.DiagMC, WalksPerVertex: 16,
+		}, randx.New(uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkBuildIndex measures full-index construction in each DiagMode.
-// Workers is left at 0 (= GOMAXPROCS), so running with -cpu 1,4 compares
-// the sequential build against the four-worker build directly; for a fixed
-// seed both produce bit-identical Diag arrays.
+// BenchmarkBuildIndex measures single-landmark index construction — a
+// one-landmark BuildPortfolio — in each DiagMode. Workers is left at 0
+// (= GOMAXPROCS), so running with -cpu 1,4 compares the sequential build
+// against the four-worker build directly; for a fixed seed both produce
+// bit-identical columns.
 func BenchmarkBuildIndex(b *testing.B) {
 	g, err := graph.BarabasiAlbert(2000, 4, randx.New(20))
 	if err != nil {
@@ -285,16 +288,16 @@ func BenchmarkBuildIndex(b *testing.B) {
 	v := g.MaxDegreeVertex()
 	for _, bc := range []struct {
 		name string
-		opts core.IndexOptions
+		opts core.PortfolioOptions
 	}{
-		{"exact", core.IndexOptions{Mode: core.DiagExactCG}},
-		{"mc", core.IndexOptions{Mode: core.DiagMC, WalksPerVertex: 64}},
-		{"sketch", core.IndexOptions{Mode: core.DiagSketch, SketchEpsilon: 0.3}},
+		{"exact", core.PortfolioOptions{Landmarks: []int{v}, Mode: core.DiagExactCG}},
+		{"mc", core.PortfolioOptions{Landmarks: []int{v}, Mode: core.DiagMC, WalksPerVertex: 64}},
+		{"sketch", core.PortfolioOptions{Landmarks: []int{v}, Mode: core.DiagSketch, SketchEpsilon: 0.3}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.BuildIndex(g, v, bc.opts, randx.New(21)); err != nil {
+				if _, err := core.BuildPortfolio(g, bc.opts, randx.New(21)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -345,8 +348,8 @@ func benchPrecondGrounded(b *testing.B, mode core.PrecondMode) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.BuildIndex(g, v, core.IndexOptions{
-			Mode: core.DiagExactCG, Precond: mode,
+		if _, err := core.BuildPortfolio(g, core.PortfolioOptions{
+			Landmarks: []int{v}, Mode: core.DiagExactCG, Precond: mode,
 		}, randx.New(41)); err != nil {
 			b.Fatal(err)
 		}
@@ -445,7 +448,9 @@ func BenchmarkSingleSourceQuery(b *testing.B) {
 		b.Fatal(err)
 	}
 	v := g.MaxDegreeVertex()
-	idx, err := core.BuildIndex(g, v, core.IndexOptions{Mode: core.DiagMC, WalksPerVertex: 16}, randx.New(18))
+	p, err := core.BuildPortfolio(g, core.PortfolioOptions{
+		Landmarks: []int{v}, Mode: core.DiagMC, WalksPerVertex: 16,
+	}, randx.New(18))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -453,7 +458,7 @@ func BenchmarkSingleSourceQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := rng.Intn(g.N())
-		if _, err := idx.SingleSource(s, core.SingleSourceOptions{Tol: 1e-6}); err != nil {
+		if _, _, err := p.SingleSource(s, core.SingleSourceOptions{Tol: 1e-6}); err != nil {
 			b.Fatal(err)
 		}
 	}

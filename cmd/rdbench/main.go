@@ -8,14 +8,11 @@
 //	rdbench -exp e1a,e5 -scale medium -seed 7
 //
 // With -snapshot it instead runs a snapshot utility: build a landmark
-// index for one graph and save it to a checksummed snapshot file (or, when
-// the file already exists, load and verify it against the graph):
+// index — a portfolio of max(-snapshot-k, 1) landmarks — for one graph and
+// save it to a checksummed v3 snapshot file (or, when the file already
+// exists, load and verify it against the graph):
 //
 //	rdbench -snapshot idx.snap -snapshot-graph g.txt -snapshot-mode exact
-//
-// Adding -snapshot-k K builds (or verifies) a K-landmark portfolio
-// snapshot (v3 format) instead of a single-landmark index:
-//
 //	rdbench -snapshot pf.snap -snapshot-graph g.txt -snapshot-mode sketch -snapshot-k 4
 package main
 
@@ -44,7 +41,7 @@ func main() {
 		snapFlag    = flag.String("snapshot", "", "snapshot utility mode: write (or verify) this index snapshot file instead of running experiments")
 		snapGraph   = flag.String("snapshot-graph", "", "snapshot utility mode: edge-list graph to index")
 		snapMode    = flag.String("snapshot-mode", "exact", "snapshot utility mode: diagonal builder (exact, mc, or sketch)")
-		snapK       = flag.Int("snapshot-k", 0, "snapshot utility mode: build a K-landmark portfolio snapshot (0 = single-landmark index)")
+		snapK       = flag.Int("snapshot-k", 0, "snapshot utility mode: landmarks in the portfolio snapshot (0 = 1)")
 		precondFlag = flag.String("precond", "jacobi", "CG preconditioner for exact builds: none, jacobi, chol, or auto")
 	)
 	flag.Parse()
@@ -116,10 +113,10 @@ func runExperiments(ids []string, cfg eval.ExpConfig, out io.Writer) error {
 	return nil
 }
 
-// runSnapshot is the -snapshot utility: build a landmark index (or, with
-// k > 0, a K-landmark portfolio) for graph and save it to path, or — when
-// path already exists — load it back and verify the checksum and graph
-// binding.
+// runSnapshot is the -snapshot utility: build a portfolio of max(k, 1)
+// landmarks for graph and save it to path in the v3 format, or — when path
+// already exists — load it back (v3, or v2 upgraded to K=1) and verify the
+// checksum and graph binding.
 func runSnapshot(path, graphPath, mode string, k int, seed uint64, workers int, precond landmarkrd.PrecondMode, out io.Writer) error {
 	if graphPath == "" {
 		return fmt.Errorf("-snapshot requires -snapshot-graph")
@@ -136,44 +133,6 @@ func runSnapshot(path, graphPath, mode string, k int, seed uint64, workers int, 
 	}
 	fmt.Fprintf(out, "loaded graph: n=%d m=%d weighted=%v\n", g.N(), g.M(), g.Weighted())
 
-	if k > 0 {
-		return runPortfolioSnapshot(path, g, diagMode, mode, k, seed, workers, precond, out)
-	}
-
-	if _, err := os.Stat(path); err == nil {
-		start := time.Now()
-		idx, err := landmarkrd.LoadLandmarkIndex(path, g)
-		if err != nil {
-			return fmt.Errorf("verifying %s: %w", path, err)
-		}
-		fmt.Fprintf(out, "verified %s in %s: landmark=%d mode=%s, checksum and graph binding OK\n",
-			path, time.Since(start).Round(time.Millisecond), idx.Landmark, idx.Mode)
-		return nil
-	}
-
-	landmark, err := landmarkrd.SelectLandmark(g, landmarkrd.MaxDegree, seed)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	idx, err := landmarkrd.BuildLandmarkIndexOpts(g, landmark, landmarkrd.IndexBuildOptions{
-		Mode: diagMode, Seed: seed, Workers: workers, Precond: precond,
-	})
-	if err != nil {
-		return err
-	}
-	build := time.Since(start)
-	if err := landmarkrd.SaveLandmarkIndex(idx, path); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "built %s index in %s (landmark=%d precond=%s), saved to %s\n",
-		mode, build.Round(time.Millisecond), landmark, idx.Precond, path)
-	return nil
-}
-
-// runPortfolioSnapshot is the -snapshot-k branch of the snapshot utility:
-// build (or verify) a K-landmark portfolio snapshot in the v3 format.
-func runPortfolioSnapshot(path string, g *landmarkrd.Graph, diagMode landmarkrd.DiagMode, mode string, k int, seed uint64, workers int, precond landmarkrd.PrecondMode, out io.Writer) error {
 	if _, err := os.Stat(path); err == nil {
 		start := time.Now()
 		p, err := landmarkrd.LoadPortfolioIndex(path, g)
@@ -187,7 +146,7 @@ func runPortfolioSnapshot(path string, g *landmarkrd.Graph, diagMode landmarkrd.
 
 	start := time.Now()
 	p, err := landmarkrd.BuildPortfolioIndex(g, landmarkrd.PortfolioBuildOptions{
-		K: k, Mode: diagMode, Seed: seed, Workers: workers, Precond: precond,
+		K: max(k, 1), Mode: diagMode, Seed: seed, Workers: workers, Precond: precond,
 	})
 	if err != nil {
 		return err

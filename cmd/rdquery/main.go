@@ -5,16 +5,18 @@
 //
 //	rdquery -graph g.txt -s 12 -t 99                  # exact (CG solve)
 //	rdquery -graph g.txt -s 12 -t 99 -method bipush   # landmark estimate
-//	rdquery -graph g.txt -source 12 -topk 10          # single-source
+//	rdquery -graph g.txt -source 12 -topk 10          # single-source (K=1 index)
 //	rdquery -graph g.txt -source 12 -snapshot idx.snap  # reuse the index
 //	rdquery -graph g.txt -s 12 -t 99 -method push -portfolio 4  # routed portfolio
 //	rdquery -graph g.txt -source 12 -portfolio 4      # routed single-source
 //
-// With -portfolio K the query goes through a K-landmark portfolio: the
-// landmark with the smallest cost-law score r(s,ℓ)+r(t,ℓ) answers, falling
-// back across the members if it collides with an endpoint. -snapshot then
-// reads/writes the v3 portfolio format (a v2 single-landmark snapshot is
-// accepted and upgraded to K=1).
+// Single-source queries always go through a landmark index, a K-landmark
+// portfolio with K = max(-portfolio, 1). Pair estimates use one landmark
+// and no index unless -portfolio K > 0 routes them through a portfolio:
+// the landmark with the smallest cost-law score r(s,ℓ)+r(t,ℓ) answers,
+// falling back across the members if it collides with an endpoint.
+// -snapshot reads/writes the v3 snapshot format (a v2 single-landmark
+// snapshot is accepted and upgraded to K=1).
 package main
 
 import (
@@ -59,9 +61,9 @@ func main() {
 	flag.IntVar(&cfg.source, "source", -1, "single-source mode: source vertex")
 	flag.IntVar(&cfg.topk, "topk", 10, "single-source mode: closest vertices to print")
 	flag.IntVar(&cfg.workers, "workers", 0, "index-build worker count (0 = GOMAXPROCS, 1 = sequential; results are seed-deterministic either way)")
-	flag.IntVar(&cfg.portfolio, "portfolio", 0, "route through a K-landmark portfolio (0 = single landmark)")
+	flag.IntVar(&cfg.portfolio, "portfolio", 0, "route through a K-landmark portfolio (0: pair estimates use one landmark and no index, single-source a K=1 portfolio)")
 	flag.StringVar(&cfg.precond, "precond", "jacobi", "CG preconditioner for index builds and solves: none, jacobi, chol, or auto")
-	flag.StringVar(&cfg.snapshot, "snapshot", "", "single-source mode: index snapshot file (load if present, else build and save)")
+	flag.StringVar(&cfg.snapshot, "snapshot", "", "single-source or portfolio mode: index snapshot file (load if present, else build and save)")
 	flag.BoolVar(&cfg.stats, "stats", false, "print estimator/solver metrics after the query")
 	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "serve expvar and pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
@@ -95,7 +97,7 @@ func run(cfg config, out io.Writer) error {
 	fmt.Fprintf(out, "loaded graph: n=%d m=%d weighted=%v\n", g.N(), g.M(), g.Weighted())
 
 	if cfg.source >= 0 {
-		return runSingleSource(g, cfg, out)
+		return runPortfolioSingleSource(g, cfg, out)
 	}
 	if cfg.s < 0 || cfg.t < 0 {
 		return fmt.Errorf("need -s and -t (or -source for single-source mode)")
@@ -196,26 +198,6 @@ func runPortfolioPair(g *landmarkrd.Graph, m landmarkrd.Method, cfg config, out 
 	return res.Value, nil
 }
 
-func runSingleSource(g *landmarkrd.Graph, cfg config, out io.Writer) error {
-	if cfg.portfolio > 0 {
-		return runPortfolioSingleSource(g, cfg, out)
-	}
-	idx, build, err := singleSourceIndex(g, cfg, out)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	all, err := landmarkrd.SingleSource(idx, cfg.source)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "index build %s, query %s (landmark=%d)\n",
-		build.Round(time.Millisecond), time.Since(start).Round(time.Microsecond), idx.Landmark)
-
-	printClosest(all, cfg, out)
-	return nil
-}
-
 // runPortfolioSingleSource answers single-source through the portfolio's
 // cheapest landmark for the source.
 func runPortfolioSingleSource(g *landmarkrd.Graph, cfg config, out io.Writer) error {
@@ -254,58 +236,12 @@ func printClosest(all []float64, cfg config, out io.Writer) {
 	}
 }
 
-// singleSourceIndex loads the -snapshot index when the file exists (any
-// other load failure — corruption, version skew, wrong graph — is fatal,
-// never silently rebuilt over), and otherwise builds one, saving it back
-// when -snapshot names a path. The reported duration is the build time, or
-// zero for a snapshot load.
-func singleSourceIndex(g *landmarkrd.Graph, cfg config, out io.Writer) (*landmarkrd.LandmarkIndex, time.Duration, error) {
-	if cfg.snapshot != "" {
-		idx, err := landmarkrd.LoadLandmarkIndex(cfg.snapshot, g)
-		switch {
-		case err == nil:
-			fmt.Fprintf(out, "loaded index snapshot %s (landmark=%d, mode=%s)\n",
-				cfg.snapshot, idx.Landmark, idx.Mode)
-			return idx, 0, nil
-		case errors.Is(err, os.ErrNotExist):
-			// Build below and save.
-		default:
-			return nil, 0, err
-		}
-	}
-	v, err := landmarkrd.SelectLandmark(g, landmarkrd.MaxDegree, cfg.seed)
-	if err != nil {
-		return nil, 0, err
-	}
-	if v == cfg.source {
-		v = (v + 1) % g.N()
-	}
-	start := time.Now()
-	precond, err := landmarkrd.ParsePrecondMode(cfg.precond)
-	if err != nil {
-		return nil, 0, err
-	}
-	idx, err := landmarkrd.BuildLandmarkIndexOpts(g, v, landmarkrd.IndexBuildOptions{
-		Mode: landmarkrd.DiagSketch, Seed: cfg.seed, Workers: cfg.workers, Precond: precond,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	build := time.Since(start)
-	fmt.Fprintf(out, "preconditioner: %s\n", idx.Precond)
-	if cfg.snapshot != "" {
-		if err := landmarkrd.SaveLandmarkIndex(idx, cfg.snapshot); err != nil {
-			return nil, 0, err
-		}
-		fmt.Fprintf(out, "saved index snapshot to %s\n", cfg.snapshot)
-	}
-	return idx, build, nil
-}
-
 // portfolioIndex loads the -snapshot portfolio when the file exists (v3, or
-// a v2 single-landmark snapshot upgraded to K=1), and otherwise builds a
-// -portfolio K sketch-mode portfolio, saving it back when -snapshot names a
-// path — the same policy as singleSourceIndex.
+// a v2 single-landmark snapshot upgraded to K=1; any other load failure —
+// corruption, version skew, wrong graph — is fatal, never silently rebuilt
+// over), and otherwise builds a sketch-mode portfolio of max(-portfolio, 1)
+// landmarks, saving it back when -snapshot names a path. The reported
+// duration is the build time, or zero for a snapshot load.
 func portfolioIndex(g *landmarkrd.Graph, cfg config, out io.Writer) (*landmarkrd.PortfolioIndex, time.Duration, error) {
 	if cfg.snapshot != "" {
 		p, err := landmarkrd.LoadPortfolioIndex(cfg.snapshot, g)
@@ -326,7 +262,7 @@ func portfolioIndex(g *landmarkrd.Graph, cfg config, out io.Writer) (*landmarkrd
 	}
 	start := time.Now()
 	p, err := landmarkrd.BuildPortfolioIndex(g, landmarkrd.PortfolioBuildOptions{
-		K: cfg.portfolio, Mode: landmarkrd.DiagSketch, Seed: cfg.seed, Workers: cfg.workers, Precond: precond,
+		K: max(cfg.portfolio, 1), Mode: landmarkrd.DiagSketch, Seed: cfg.seed, Workers: cfg.workers, Precond: precond,
 	})
 	if err != nil {
 		return nil, 0, err

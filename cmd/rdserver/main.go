@@ -20,16 +20,17 @@
 // "degraded" with an error bound instead. At most -max-inflight queries run
 // concurrently; excess requests are rejected immediately with 429 (plus a
 // jittered Retry-After) rather than queued. Transient per-query failures
-// are retried up to -retries times with jittered backoff. -portfolio K
-// serves a K-landmark portfolio: every pair query routes to the landmark
-// with the smallest cost-law score r(s,ℓ)+r(t,ℓ) and /v1/singlesource
-// reports which landmark answered. -landmarks pins the portfolio to an
+// are retried up to -retries times with jittered backoff. With an index
+// configured (-index-mode or -snapshot) the server serves a landmark
+// portfolio of max(-portfolio, 1) landmarks: every pair query routes to
+// the landmark with the smallest cost-law score r(s,ℓ)+r(t,ℓ) and
+// /v1/singlesource reports which landmark answered. -landmarks pins the portfolio to an
 // explicit vertex list — the shard subset a replica serves behind an
 // rdproxy coordinator. -cache N keeps the last N pair answers in a
 // singleflight-deduplicated LRU keyed on the epoch graph's fingerprint, so
 // a re-base or reload invalidates stale entries by construction. -snapshot
-// loads/saves the landmark index (or v3 portfolio) from a checksummed
-// snapshot file, and SIGHUP hot-reloads it without dropping in-flight
+// loads/saves the portfolio from a checksummed v3 snapshot file (a v2
+// single-landmark snapshot loads as K=1), and SIGHUP hot-reloads it without dropping in-flight
 // queries. Every endpoint answers a wrong HTTP method with a structured
 // 405 and an Allow header.
 //
@@ -72,7 +73,7 @@ func main() {
 		workersFlag  = flag.Int("workers", 0, "batch workers per request (0 = GOMAXPROCS)")
 		indexFlag    = flag.String("index-mode", "none", "landmark index for /v1/singlesource: exact, mc, sketch, or none")
 		precondFlag  = flag.String("precond", "jacobi", "CG preconditioner for index builds and solves: none, jacobi, chol, or auto")
-		portfolioKey = flag.Int("portfolio", 0, "serve a K-landmark portfolio with cost-law routing (0 = single landmark); needs -index-mode or -snapshot")
+		portfolioKey = flag.Int("portfolio", 0, "serve a K-landmark portfolio with cost-law routing (0 = 1 landmark when an index is configured); K > 0 needs -index-mode or -snapshot")
 		snapshotFlag = flag.String("snapshot", "", "index snapshot file: load if present, else build and save; SIGHUP reloads it")
 		retriesFlag  = flag.Int("retries", 3, "per-query attempt budget for transient failures (1 disables retries)")
 		degradeFlag  = flag.Duration("degrade-below", 0, "answer with the degraded Monte Carlo tier when less than this budget remains (0 disables)")

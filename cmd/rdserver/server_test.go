@@ -614,11 +614,11 @@ func TestSnapshotStartup(t *testing.T) {
 	if second.eng().Stats().IndexBuilds != 0 {
 		t.Error("second server rebuilt the index instead of loading the snapshot")
 	}
-	a, err := landmarkrd.SingleSource(first.currentIndex(), 3)
+	a, _, err := landmarkrd.PortfolioSingleSource(first.currentPortfolio(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := landmarkrd.SingleSource(second.currentIndex(), 3)
+	b, _, err := landmarkrd.PortfolioSingleSource(second.currentPortfolio(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -713,7 +713,7 @@ func TestSighupReloadUnderLoad(t *testing.T) {
 func TestReloadFailureKeepsServing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "idx.snap")
 	srv := newTestServer(t, serverConfig{indexMode: "exact", snapshot: path, timeout: 30 * time.Second})
-	old := srv.currentIndex()
+	old := srv.currentPortfolio()
 	if old == nil {
 		t.Fatal("no index after construction")
 	}
@@ -724,7 +724,7 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 	if err := srv.reload(); err == nil {
 		t.Fatal("reload of a corrupt snapshot succeeded")
 	}
-	if srv.currentIndex() != old {
+	if srv.currentPortfolio() != old {
 		t.Error("failed reload swapped the index")
 	}
 	if !srv.ready.Load() {

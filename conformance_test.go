@@ -161,9 +161,9 @@ func TestConformanceExact(t *testing.T) {
 			if err != nil {
 				t.Fatalf("dynamic.New: %v", err)
 			}
-			idx, err := BuildLandmarkIndex(c.G, c.Landmark, DiagExactCG, 1)
+			idx, err := BuildPortfolioIndex(c.G, PortfolioBuildOptions{Landmarks: []int{c.Landmark}, Seed: 1})
 			if err != nil {
-				t.Fatalf("BuildLandmarkIndex: %v", err)
+				t.Fatalf("BuildPortfolioIndex: %v", err)
 			}
 			for _, p := range c.Pairs {
 				s, u := p[0], p[1]
@@ -211,7 +211,7 @@ func TestConformanceExact(t *testing.T) {
 				checkClose(t, "flow.Energy"+tag, flow.Energy(), want, exactTol)
 
 				// One tight single-source sweep per pair's source.
-				ss, err := idx.SingleSource(s, core.SingleSourceOptions{Tol: 1e-12})
+				ss, _, err := idx.SingleSource(s, core.SingleSourceOptions{Tol: 1e-12})
 				if err != nil {
 					t.Fatalf("SingleSource%s: %v", tag, err)
 				}
@@ -383,6 +383,9 @@ func TestConformanceMonteCarlo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical conformance is not a -short test")
 	}
+	// portfolios caches one K=3 exact portfolio per corpus graph for the
+	// MultiLandmark method; only its estimator seed varies per sample.
+	portfolios := map[string]*PortfolioIndex{}
 	methods := []mcMethod{
 		{
 			name: "AbWalk",
@@ -407,9 +410,18 @@ func TestConformanceMonteCarlo(t *testing.T) {
 			},
 		},
 		{
+			// A K=3 portfolio routing each pair to its cheapest landmark.
 			name: "MultiLandmark",
 			sample: func(c conformanceCase, s, u int, seed uint64) (float64, error) {
-				est, err := NewMultiLandmark(c.G, 3, Options{Seed: seed})
+				p := portfolios[c.Name]
+				if p == nil {
+					var err error
+					if p, err = BuildPortfolioIndex(c.G, PortfolioBuildOptions{K: 3}); err != nil {
+						return 0, err
+					}
+					portfolios[c.Name] = p
+				}
+				est, err := NewPortfolioEstimator(p, BiPush, Options{Seed: seed})
 				if err != nil {
 					return 0, err
 				}
@@ -543,11 +555,13 @@ func TestConformanceIndexModes(t *testing.T) {
 		const builds = 6
 		vecs := make([][]float64, builds)
 		for k := 0; k < builds; k++ {
-			idx, err := BuildLandmarkIndex(c.G, c.Landmark, DiagMC, uint64(5000+k))
+			idx, err := BuildPortfolioIndex(c.G, PortfolioBuildOptions{
+				Landmarks: []int{c.Landmark}, Mode: DiagMC, Seed: uint64(5000 + k),
+			})
 			if err != nil {
-				t.Fatalf("BuildLandmarkIndex: %v", err)
+				t.Fatalf("BuildPortfolioIndex: %v", err)
 			}
-			vecs[k], err = idx.SingleSource(s, core.SingleSourceOptions{Tol: 1e-12})
+			vecs[k], _, err = idx.SingleSource(s, core.SingleSourceOptions{Tol: 1e-12})
 			if err != nil {
 				t.Fatalf("SingleSource: %v", err)
 			}
@@ -569,11 +583,13 @@ func TestConformanceIndexModes(t *testing.T) {
 	})
 
 	t.Run("DiagSketch", func(t *testing.T) {
-		idx, err := BuildLandmarkIndexOpts(c.G, c.Landmark, IndexBuildOptions{Mode: DiagSketch, Seed: 777})
+		idx, err := BuildPortfolioIndex(c.G, PortfolioBuildOptions{
+			Landmarks: []int{c.Landmark}, Mode: DiagSketch, Seed: 777,
+		})
 		if err != nil {
-			t.Fatalf("BuildLandmarkIndexOpts: %v", err)
+			t.Fatalf("BuildPortfolioIndex: %v", err)
 		}
-		got, err := idx.SingleSource(s, core.SingleSourceOptions{Tol: 1e-12})
+		got, _, err := idx.SingleSource(s, core.SingleSourceOptions{Tol: 1e-12})
 		if err != nil {
 			t.Fatalf("SingleSource: %v", err)
 		}

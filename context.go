@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"landmarkrd/internal/cancel"
-	"landmarkrd/internal/core"
 	"landmarkrd/internal/lap"
 )
 
@@ -61,11 +60,4 @@ func (e *Estimator) pairDiagContext(ctx context.Context, s, t int, diag []float6
 		return e.bipush.PairDiagContext(ctx, s, t, diag)
 	}
 	return e.PairContext(ctx, s, t)
-}
-
-// SingleSourceContext is SingleSource with cancellation: the grounded
-// column solve aborts once ctx is done, returning an error matching
-// ErrCanceled.
-func SingleSourceContext(ctx context.Context, idx *LandmarkIndex, s int) ([]float64, error) {
-	return idx.SingleSourceContext(ctx, s, core.SingleSourceOptions{})
 }

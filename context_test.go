@@ -64,11 +64,11 @@ func TestKernelsHonorCanceledContext(t *testing.T) {
 		{"push", estimator(landmarkrd.Push)},
 		{"bipush", estimator(landmarkrd.BiPush)},
 		{"singlesource", func() error {
-			idx, err := landmarkrd.BuildLandmarkIndex(g, 0, landmarkrd.DiagExactCG, 3)
+			idx, err := landmarkrd.BuildPortfolioIndex(g, landmarkrd.PortfolioBuildOptions{Landmarks: []int{0}, Seed: 3})
 			if err != nil {
 				return err
 			}
-			values, err := landmarkrd.SingleSourceContext(ctx, idx, 5)
+			values, _, err := landmarkrd.PortfolioSingleSourceContext(ctx, idx, 5)
 			if err == nil {
 				return nil
 			}

@@ -195,19 +195,22 @@ func TestBatchEngineWarmPoolIdentical(t *testing.T) {
 	}
 }
 
-// TestIndexBuildWorkerInvariance: the DiagMC index (the only randomized
-// build mode) must be byte-identical across worker counts for a fixed
-// seed, end to end through SingleSource.
+// TestIndexBuildWorkerInvariance: the DiagMC single-landmark index (a K=1
+// portfolio; DiagMC is the per-vertex randomized build mode) must be
+// byte-identical across worker counts for a fixed seed, end to end through
+// PortfolioSingleSource.
 func TestIndexBuildWorkerInvariance(t *testing.T) {
 	g := determinismGraph(t)
 	landmark := g.MaxDegreeVertex()
 	var want []float64
 	for _, workers := range []int{1, 3, 0} {
-		idx, err := BuildLandmarkIndexOpts(g, landmark, IndexBuildOptions{Mode: DiagMC, Seed: 9, Workers: workers})
+		idx, err := BuildPortfolioIndex(g, PortfolioBuildOptions{
+			Landmarks: []int{landmark}, Mode: DiagMC, Seed: 9, Workers: workers,
+		})
 		if err != nil {
 			t.Fatalf("build (workers=%d): %v", workers, err)
 		}
-		ss, err := SingleSource(idx, 42)
+		ss, _, err := PortfolioSingleSource(idx, 42)
 		if err != nil {
 			t.Fatalf("SingleSource: %v", err)
 		}

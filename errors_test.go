@@ -51,10 +51,9 @@ func TestNilGraphRejected(t *testing.T) {
 		{"NewEstimator", func() error { _, err := NewEstimator(nil, BiPush, Options{}); return err }},
 		{"NewEstimatorAt", func() error { _, err := NewEstimatorAt(nil, Push, 0, Options{}); return err }},
 		{"SelectLandmark", func() error { _, err := SelectLandmark(nil, MaxDegree, 1); return err }},
-		{"BuildLandmarkIndex", func() error { _, err := BuildLandmarkIndex(nil, 0, DiagExactCG, 1); return err }},
+		{"BuildPortfolioIndex", func() error { _, err := BuildPortfolioIndex(nil, PortfolioBuildOptions{}); return err }},
 		{"NewLapSolver", func() error { _, err := NewLapSolver(nil, 1); return err }},
 		{"BuildSketch", func() error { _, err := BuildSketch(nil, 0.3, 1); return err }},
-		{"NewMultiLandmark", func() error { _, err := NewMultiLandmark(nil, 3, Options{}); return err }},
 		{"ClusterGraph", func() error { _, err := ClusterGraph(nil, 2, 1); return err }},
 		{"NewDynamic", func() error { _, err := NewDynamic(nil); return err }},
 		{"NewBatchEngine", func() error { _, err := NewBatchEngine(nil, BiPush, BatchOptions{}); return err }},
@@ -89,9 +88,11 @@ func TestDisconnectedGraphRejected(t *testing.T) {
 		{"NewEstimatorAbWalk", func() error { _, err := NewEstimatorAt(g, AbWalk, 0, Options{}); return err }},
 		{"NewEstimatorPush", func() error { _, err := NewEstimatorAt(g, Push, 0, Options{}); return err }},
 		{"NewEstimatorBiPush", func() error { _, err := NewEstimatorAt(g, BiPush, 0, Options{}); return err }},
-		{"BuildLandmarkIndex", func() error { _, err := BuildLandmarkIndex(g, 0, DiagExactCG, 1); return err }},
+		{"BuildPortfolioIndex", func() error {
+			_, err := BuildPortfolioIndex(g, PortfolioBuildOptions{Landmarks: []int{0}})
+			return err
+		}},
 		{"BuildSketch", func() error { _, err := BuildSketch(g, 0.3, 1); return err }},
-		{"NewMultiLandmark", func() error { _, err := NewMultiLandmark(g, 2, Options{}); return err }},
 		{"ClusterGraph", func() error { _, err := ClusterGraph(g, 2, 1); return err }},
 		{"NewDynamic", func() error { _, err := NewDynamic(g); return err }},
 	}
@@ -112,9 +113,9 @@ func TestOutOfRangeVerticesRejected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEstimatorAt: %v", err)
 	}
-	idx, err := BuildLandmarkIndex(g, g.MaxDegreeVertex(), DiagExactCG, 1)
+	idx, err := BuildPortfolioIndex(g, PortfolioBuildOptions{K: 1})
 	if err != nil {
-		t.Fatalf("BuildLandmarkIndex: %v", err)
+		t.Fatalf("BuildPortfolioIndex: %v", err)
 	}
 	dyn, err := NewDynamic(g)
 	if err != nil {
@@ -128,7 +129,7 @@ func TestOutOfRangeVerticesRejected(t *testing.T) {
 		{"ExactTooLarge", func() error { _, err := Exact(g, 2, g.N()); return err }},
 		{"EstimatorPairNegative", func() error { _, err := est.Pair(-1, 3); return err }},
 		{"EstimatorPairTooLarge", func() error { _, err := est.Pair(1, g.N()+5); return err }},
-		{"SingleSourceTooLarge", func() error { _, err := SingleSource(idx, g.N()); return err }},
+		{"SingleSourceTooLarge", func() error { _, _, err := PortfolioSingleSource(idx, g.N()); return err }},
 		{"DynamicAddEdgeBad", func() error { return dyn.AddEdge(0, g.N(), 1) }},
 		{"DynamicResistanceBad", func() error { _, err := dyn.Resistance(-2, 1); return err }},
 		{"PotentialNegative", func() error { _, err := Potential(g, -1, 1); return err }},
@@ -150,8 +151,8 @@ func TestInvalidLandmarkRejected(t *testing.T) {
 		if _, err := NewEstimatorAt(g, BiPush, lm, Options{}); err == nil {
 			t.Errorf("NewEstimatorAt accepted landmark %d", lm)
 		}
-		if _, err := BuildLandmarkIndex(g, lm, DiagExactCG, 1); err == nil {
-			t.Errorf("BuildLandmarkIndex accepted landmark %d", lm)
+		if _, err := BuildPortfolioIndex(g, PortfolioBuildOptions{Landmarks: []int{lm}}); err == nil {
+			t.Errorf("BuildPortfolioIndex accepted landmark %d", lm)
 		}
 		if _, err := NewBatchEngine(g, BiPush, BatchOptions{PinLandmark: true, Landmark: lm}); err == nil {
 			t.Errorf("NewBatchEngine accepted landmark %d", lm)

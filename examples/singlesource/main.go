@@ -25,21 +25,21 @@ func main() {
 	}
 	fmt.Printf("graph: n=%d m=%d\n", g.N(), g.M())
 
-	v, err := landmarkrd.SelectLandmark(g, landmarkrd.MaxDegree, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// A one-landmark index is the K=1 portfolio; the max-degree vertex is
+	// the default landmark.
 	start := time.Now()
-	idx, err := landmarkrd.BuildLandmarkIndex(g, v, landmarkrd.DiagSketch, 1)
+	idx, err := landmarkrd.BuildPortfolioIndex(g, landmarkrd.PortfolioBuildOptions{
+		K: 1, Mode: landmarkrd.DiagSketch, Seed: 1,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("landmark index (v=%d, sketch diagonal): built in %v, %d bytes\n",
-		v, time.Since(start).Round(time.Millisecond), idx.MemoryBytes())
+		idx.Primary(), time.Since(start).Round(time.Millisecond), idx.MemoryBytes())
 
 	src := 1234
 	start = time.Now()
-	all, err := landmarkrd.SingleSource(idx, src)
+	all, _, err := landmarkrd.PortfolioSingleSource(idx, src)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -255,35 +255,39 @@ func TestRetriesDoNotChangeFirstTrySuccesses(t *testing.T) {
 }
 
 // TestIndexBuildFaults covers the index.build site: errors and panics
-// surface typed from BuildLandmarkIndex, latency changes nothing.
+// surface typed from a single-landmark BuildPortfolioIndex, latency
+// changes nothing.
 func TestIndexBuildFaults(t *testing.T) {
 	defer faultinject.Reset()
 	g := loadCorpusGraph(t, "grid_14x14.edges")
 
 	faultinject.Reset()
-	baseline, err := landmarkrd.BuildLandmarkIndex(g, 0, landmarkrd.DiagExactCG, 1)
+	build := func() (*landmarkrd.PortfolioIndex, error) {
+		return landmarkrd.BuildPortfolioIndex(g, landmarkrd.PortfolioBuildOptions{Landmarks: []int{0}, Seed: 1})
+	}
+	baseline, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	faultinject.Arm(faultinject.SiteIndexBuild, faultinject.Fault{})
-	if _, err := landmarkrd.BuildLandmarkIndex(g, 0, landmarkrd.DiagExactCG, 1); !errors.Is(err, faultinject.ErrInjected) {
+	if _, err := build(); !errors.Is(err, faultinject.ErrInjected) {
 		t.Errorf("error fault: err = %v, want ErrInjected", err)
 	}
 
 	faultinject.Arm(faultinject.SiteIndexBuild, faultinject.Fault{Panic: "injected"})
-	if _, err := landmarkrd.BuildLandmarkIndex(g, 0, landmarkrd.DiagExactCG, 1); !errors.Is(err, landmarkrd.ErrInternal) {
+	if _, err := build(); !errors.Is(err, landmarkrd.ErrInternal) {
 		t.Errorf("panic fault: err = %v, want ErrInternal", err)
 	}
 
 	faultinject.Arm(faultinject.SiteIndexBuild, faultinject.Fault{Latency: 10 * time.Microsecond, LatencyOnly: true, Every: 50})
-	idx, err := landmarkrd.BuildLandmarkIndex(g, 0, landmarkrd.DiagExactCG, 1)
+	idx, err := build()
 	if err != nil {
 		t.Fatalf("latency fault: %v", err)
 	}
-	for i := range idx.Diag {
-		if math.Float64bits(idx.Diag[i]) != math.Float64bits(baseline.Diag[i]) {
-			t.Fatalf("latency fault changed Diag[%d]", i)
+	for i := range idx.Cols[0] {
+		if math.Float64bits(idx.Cols[0][i]) != math.Float64bits(baseline.Cols[0][i]) {
+			t.Fatalf("latency fault changed column entry %d", i)
 		}
 	}
 }

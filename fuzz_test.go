@@ -118,9 +118,9 @@ func FuzzEstimatorPair(f *testing.F) {
 	})
 }
 
-// FuzzIndexSingleSource exercises the landmark index end to end: build in
-// a fuzz-chosen diagonal mode, query a fuzz-chosen source, and require a
-// finite non-negative vector.
+// FuzzIndexSingleSource exercises the single-landmark index (a K=1
+// portfolio) end to end: build in a fuzz-chosen diagonal mode, query a
+// fuzz-chosen source, and require a finite non-negative vector.
 func FuzzIndexSingleSource(f *testing.F) {
 	seedCorpus(f, func(data []byte) {
 		f.Add(data, uint8(0), uint16(3), uint64(11))
@@ -132,7 +132,7 @@ func FuzzIndexSingleSource(f *testing.F) {
 		}
 		dm := DiagMode(int(mode) % 3)
 		landmark := g.MaxDegreeVertex()
-		idx, err := BuildLandmarkIndex(g, landmark, dm, seed)
+		idx, err := BuildPortfolioIndex(g, PortfolioBuildOptions{Landmarks: []int{landmark}, Mode: dm, Seed: seed})
 		if err != nil {
 			if !errors.Is(err, ErrDisconnected) {
 				t.Fatalf("build: unexpected error %v", err)
@@ -140,7 +140,7 @@ func FuzzIndexSingleSource(f *testing.F) {
 			return
 		}
 		s := int(srcRaw) % g.N()
-		ss, err := SingleSource(idx, s)
+		ss, _, err := PortfolioSingleSource(idx, s)
 		if err != nil {
 			t.Fatalf("SingleSource(%d): %v", s, err)
 		}
@@ -269,17 +269,89 @@ func FuzzPortfolioDifferential(f *testing.F) {
 		if !inPortfolio {
 			t.Fatalf("served landmark %d not in portfolio %v", served, p.Landmarks)
 		}
-		// Ground truth: a DiagExactCG index at the source IS the exact
+		// Ground truth: the DiagExactCG column of landmark s IS the exact
 		// single-source vector r(s, ·).
-		ref, err := BuildLandmarkIndex(g, s, DiagExactCG, 1)
+		ref, err := BuildPortfolioIndex(g, PortfolioBuildOptions{Landmarks: []int{s}, Seed: 1})
 		if err != nil {
 			t.Fatalf("reference index: %v", err)
 		}
+		want := ref.Cols[0]
 		for v, r := range got {
 			checkEstimate(t, "portfolio single-source entry", r)
-			if diff := math.Abs(r - ref.Diag[v]); diff > 1e-5*math.Max(1, ref.Diag[v]) {
+			if diff := math.Abs(r - want[v]); diff > 1e-5*math.Max(1, want[v]) {
 				t.Fatalf("portfolio r(%d,%d) = %v via landmark %d, exact = %v (diff %g)",
-					s, v, r, served, ref.Diag[v], diff)
+					s, v, r, served, want[v], diff)
+			}
+		}
+	})
+}
+
+// v2Fixture is a single-landmark v2 snapshot written by the retired v2
+// writer: an exact index of the corpus graph v2FixtureGraph at its
+// max-degree vertex, built with seed 3.
+const (
+	v2Fixture      = "testdata/snapshots/ba_120_2_weighted.v2.snap"
+	v2FixtureGraph = "testdata/corpus/ba_120_2_weighted.edges"
+)
+
+// FuzzReadPortfolio feeds arbitrary bytes to the only snapshot reader,
+// bound to the fixture graph. Every input must come back as a portfolio
+// or an ErrSnapshot* sentinel — never a panic, and never an allocation
+// sized by an unverified header field. An accepted snapshot must be
+// well-formed and survive a v3 round trip bit for bit.
+func FuzzReadPortfolio(f *testing.F) {
+	g, _, err := LoadEdgeList(v2FixtureGraph)
+	if err != nil {
+		f.Fatal(err)
+	}
+	v2, err := os.ReadFile(v2Fixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	p, err := BuildPortfolioIndex(g, PortfolioBuildOptions{K: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var v3 bytes.Buffer
+	if _, err := p.WriteTo(&v3); err != nil {
+		f.Fatal(err)
+	}
+	for _, snap := range [][]byte{v2, v3.Bytes()} {
+		for _, cut := range []int{len(snap), len(snap) - 1, len(snap) / 2, 48, 20, 8, 0} {
+			f.Add(snap[:cut])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ReadPortfolioFrom(bytes.NewReader(data), g)
+		if err != nil {
+			for _, want := range []error{ErrSnapshotCorrupt, ErrSnapshotVersion, ErrSnapshotChecksum, ErrSnapshotMismatch} {
+				if errors.Is(err, want) {
+					return
+				}
+			}
+			t.Fatalf("untyped rejection: %v", err)
+		}
+		if p.K() < 1 || len(p.Cols) != p.K() {
+			t.Fatalf("accepted snapshot with K=%d and %d columns", p.K(), len(p.Cols))
+		}
+		for j, v := range p.Landmarks {
+			if v < 0 || v >= g.N() || len(p.Cols[j]) != g.N() {
+				t.Fatalf("accepted column %d: landmark %d, %d entries for n=%d", j, v, len(p.Cols[j]), g.N())
+			}
+		}
+		var buf bytes.Buffer
+		if _, err := p.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadPortfolioFrom(&buf, g)
+		if err != nil {
+			t.Fatalf("re-encoded snapshot rejected: %v", err)
+		}
+		for j := range p.Cols {
+			for i := range p.Cols[j] {
+				if math.Float64bits(again.Cols[j][i]) != math.Float64bits(p.Cols[j][i]) {
+					t.Fatalf("round trip changed column %d entry %d", j, i)
+				}
 			}
 		}
 	})

@@ -127,13 +127,15 @@ func Embed(g *graph.Graph, p int, mode core.DiagMode, rng *randx.RNG) ([][]float
 			pivot = best
 		}
 		pivots = append(pivots, pivot)
-		idx, err := core.BuildIndex(g, pivot, core.IndexOptions{Mode: mode, SketchEpsilon: 0.35, WalksPerVertex: 24}, rng.Split())
+		p, err := core.BuildPortfolio(g, core.PortfolioOptions{
+			Landmarks: []int{pivot}, Mode: mode, SketchEpsilon: 0.35, WalksPerVertex: 24,
+		}, rng.Split())
 		if err != nil {
 			return nil, nil, fmt.Errorf("cluster: pivot %d: %w", pivot, err)
 		}
-		// r(pivot, u) for all u is exactly the index diagonal.
+		// r(pivot, u) for all u is exactly the pivot's column.
 		for u := 0; u < n; u++ {
-			emb[u] = append(emb[u], idx.Diag[u])
+			emb[u] = append(emb[u], p.Cols[0][u])
 		}
 	}
 	return emb, pivots, nil

@@ -131,7 +131,7 @@ func AdaptiveBatch(ctx context.Context, g *graph.Graph, landmark int, pairs []Ad
 	}
 
 	g.EnsureSamplingIndex()
-	workers := indexWorkers(IndexOptions{Workers: opts.Workers}, len(pairs))
+	workers := indexWorkers(opts.Workers, len(pairs))
 
 	// samplePhase runs count(i) additional walk-pairs for every live pair,
 	// sharded across workers. A canceled pair poisons the whole batch; any

@@ -19,7 +19,7 @@ func diagFixture(t *testing.T) (*graph.Graph, int, []float64) {
 		t.Fatal(err)
 	}
 	v := 0
-	idx, err := BuildIndex(g, v, IndexOptions{Mode: DiagExactCG}, randx.New(1))
+	idx, err := buildIndex(g, v, PortfolioOptions{Mode: DiagExactCG}, randx.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,9 +110,9 @@ func TestIndexSingleSourceExact(t *testing.T) {
 	g := testBA(t, 150, 45)
 	rng := randx.New(13)
 	v, _ := SelectLandmark(g, MaxDegree, rng)
-	idx, err := BuildIndex(g, v, IndexOptions{Mode: DiagExactCG}, rng)
+	idx, err := buildIndex(g, v, PortfolioOptions{Mode: DiagExactCG}, rng)
 	if err != nil {
-		t.Fatalf("BuildIndex: %v", err)
+		t.Fatalf("buildIndex: %v", err)
 	}
 	s := 7
 	if s == v {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"landmarkrd/internal/cancel"
 	"landmarkrd/internal/faultinject"
@@ -16,7 +15,6 @@ import (
 	"landmarkrd/internal/linalg"
 	"landmarkrd/internal/obs"
 	"landmarkrd/internal/randx"
-	"landmarkrd/internal/sketch"
 	"landmarkrd/internal/walk"
 )
 
@@ -50,62 +48,21 @@ func (m DiagMode) String() string {
 	}
 }
 
-// IndexOptions configures BuildIndex.
-type IndexOptions struct {
-	Mode DiagMode
-	// WalksPerVertex is the DiagMC sample count (default 64).
-	WalksPerVertex int
-	// MaxSteps truncates DiagMC walks (default 100·n).
-	MaxSteps int
-	// SketchEpsilon is the DiagSketch relative-error target (default 0.3).
-	SketchEpsilon float64
-	// Tol is the DiagExactCG solver tolerance (default lap.ExactTol).
-	Tol float64
-	// Precond selects the CG preconditioner for the exact diagonal build
-	// and all subsequent SingleSource query solves (default PrecondJacobi,
-	// the zero value). PrecondAuto resolves to jacobi or chol from the
-	// landmark's BFS eccentricity; the resolved mode is recorded in
-	// Index.Precond. A chol factor is built once and shared read-only
-	// across build workers and pooled query solvers.
-	Precond PrecondMode
-	// PrecondSeed drives the approximate-Cholesky factorization's internal
-	// tie-breaking (0 means the chol package default), keeping the factor
-	// deterministic.
-	PrecondSeed uint64
-	// Workers shards the per-vertex diagonal work across a worker pool
-	// (default GOMAXPROCS; 1 forces a sequential build). The Diag array is
-	// byte-identical for a fixed seed regardless of the worker count:
-	// every vertex draws from its own random stream derived from the root
-	// seed, and the CG solves are deterministic per vertex.
-	Workers int
-	// Metrics, when non-nil, receives an IndexBuilds increment, the build
-	// wall time (IndexBuildTime histogram), and — for DiagMC — the walk
-	// work counters, merged from the worker-local sinks when the pool
-	// joins.
-	Metrics *obs.Metrics
-}
-
-// Index is the landmark index: the grounded diagonal r(t,v) for all t.
-// With it, a single-source query reduces to one grounded column
-// computation:
+// Index is one landmark's view of a Portfolio: the grounded diagonal
+// r(t,v) for all t (the portfolio column of v). With it, a single-source
+// query reduces to one grounded column computation:
 //
 //	r(s,t) = L_v⁻¹[s,s] − 2·L_v⁻¹[s,t] + Diag[t].
 //
-// An Index is safe for concurrent SingleSource queries and must not be
-// copied after first use (it recycles solver scratch through a pool).
+// Indices are made by BuildPortfolio and the snapshot reader
+// (Portfolio.Index); dynamic.PatchedIndex patches one. An Index is safe
+// for concurrent SingleSource queries and must not be copied after first
+// use (it recycles solver scratch through a pool).
 type Index struct {
 	G        *graph.Graph
 	Landmark int
 	// Diag[t] ≈ r(t, v); Diag[v] = 0.
 	Diag []float64
-	Mode DiagMode
-	// Precond is the resolved preconditioner mode (PrecondAuto is replaced
-	// by the mode it picked). Not persisted in snapshots; loaded indices
-	// default to Jacobi.
-	Precond PrecondMode
-	// BuildTime is the wall time BuildIndex took, including preconditioner
-	// factorization (not persisted).
-	BuildTime time.Duration
 
 	// precond is the shared concrete preconditioner query solvers use; nil
 	// means the solver's built-in Jacobi default.
@@ -116,9 +73,9 @@ type Index struct {
 	solvers sync.Pool
 }
 
-// indexWorkers resolves the worker count for an n-vertex build.
-func indexWorkers(opts IndexOptions, n int) int {
-	w := opts.Workers
+// indexWorkers resolves the requested worker count (<= 0 means
+// GOMAXPROCS) for an n-vertex build.
+func indexWorkers(w, n int) int {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
@@ -174,60 +131,6 @@ func runIndexWorkers(workers int, mergeInto *obs.Metrics, build func(worker int,
 	return nil
 }
 
-// BuildIndex constructs the diagonal index for landmark v. All three diag
-// modes shard their per-vertex work across opts.Workers goroutines; see
-// IndexOptions.Workers for the determinism guarantee. rng drives the
-// randomized modes (DiagMC, DiagSketch) and may be nil for DiagExactCG.
-func BuildIndex(g *graph.Graph, landmark int, opts IndexOptions, rng *randx.RNG) (*Index, error) {
-	if err := g.ValidateVertex(landmark); err != nil {
-		return nil, err
-	}
-	if err := requireConnected(g); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	n := g.N()
-	idx := &Index{G: g, Landmark: landmark, Diag: make([]float64, n), Mode: opts.Mode}
-	pc, resolved, err := resolvePrecond(g, landmark, opts.Precond, opts.PrecondSeed, opts.Metrics)
-	if err != nil {
-		return nil, err
-	}
-	idx.Precond = resolved
-	idx.precond = pc
-	workers := indexWorkers(opts, n)
-	switch opts.Mode {
-	case DiagExactCG:
-		if err := buildDiagExact(g, landmark, idx.Diag, opts, workers, pc); err != nil {
-			return nil, err
-		}
-	case DiagMC:
-		if err := buildDiagMC(g, landmark, idx.Diag, opts, workers, rng); err != nil {
-			return nil, err
-		}
-	case DiagSketch:
-		eps := opts.SketchEpsilon
-		if eps <= 0 {
-			eps = 0.3
-		}
-		sk, err := sketch.Build(g, sketch.Options{Epsilon: eps, Workers: workers}, rng)
-		if err != nil {
-			return nil, fmt.Errorf("core: index sketch: %w", err)
-		}
-		if err := sk.ResistancesInto(idx.Diag, landmark); err != nil {
-			return nil, err
-		}
-		idx.Diag[landmark] = 0
-	default:
-		return nil, fmt.Errorf("core: unknown diag mode %d", int(opts.Mode))
-	}
-	idx.BuildTime = time.Since(start)
-	if opts.Metrics != nil {
-		opts.Metrics.IndexBuilds.Inc()
-		opts.Metrics.IndexBuildTime.Observe(idx.BuildTime.Nanoseconds())
-	}
-	return idx, nil
-}
-
 // diagBlockRHS is the number of right-hand sides an exact diagonal build
 // advances through one block CG solve. Eight columns amortize the CSR
 // traversal well while keeping the per-worker scratch (8 extra vectors per
@@ -242,10 +145,10 @@ const diagBlockRHS = 8
 // into the process-wide lap.SolverMetrics when the pool joins. Every
 // diagonal entry depends only on (g, landmark, tol, pc) — block columns are
 // bit-identical to independent solves — so the Diag array stays
-// byte-identical at any worker count. pc, when non-nil, replaces the
-// built-in Jacobi preconditioner and is shared read-only across workers.
-func buildDiagExact(g *graph.Graph, landmark int, diag []float64, opts IndexOptions, workers int, pc linalg.Preconditioner) error {
-	tol := opts.Tol
+// byte-identical at any worker count. tol <= 0 means lap.ExactTol. pc, when
+// non-nil, replaces the built-in Jacobi preconditioner and is shared
+// read-only across workers.
+func buildDiagExact(g *graph.Graph, landmark int, diag []float64, tol float64, workers int, pc linalg.Preconditioner) error {
 	if tol <= 0 {
 		tol = lap.ExactTol
 	}
@@ -300,19 +203,15 @@ func buildDiagExact(g *graph.Graph, landmark int, diag []float64, opts IndexOpti
 // sharded across the worker pool. Every vertex gets its own random stream
 // derived from a root seed drawn once from rng — the same reseeding scheme
 // the pooled batch engine uses per worker — so the estimate for t is
-// independent of which worker samples it and of the worker count. Walk
-// work counters accumulate in worker-local sinks and merge into
-// opts.Metrics at the end.
-func buildDiagMC(g *graph.Graph, landmark int, diag []float64, opts IndexOptions, workers int, rng *randx.RNG) error {
-	if rng == nil {
-		return fmt.Errorf("core: DiagMC index build requires an RNG")
-	}
-	walks := opts.WalksPerVertex
+// independent of which worker samples it and of the worker count. walks
+// <= 0 means 64 walks per vertex and maxSteps <= 0 means max(100·n, 10⁵).
+// Walk work counters accumulate in worker-local sinks and merge into
+// metrics (which may be nil) at the end.
+func buildDiagMC(g *graph.Graph, landmark int, diag []float64, walks, maxSteps, workers int, rng *randx.RNG, metrics *obs.Metrics) error {
 	if walks <= 0 {
 		walks = 64
 	}
 	n := g.N()
-	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = 100 * n
 		if maxSteps < 100000 {
@@ -324,7 +223,7 @@ func buildDiagMC(g *graph.Graph, landmark int, diag []float64, opts IndexOptions
 	root := rng.Uint64()
 	// Fault hook, fired once per vertex across all workers; nil unless armed.
 	fi := faultinject.At(faultinject.SiteIndexBuild)
-	return runIndexWorkers(workers, opts.Metrics, func(worker int, local *obs.Metrics) error {
+	return runIndexWorkers(workers, metrics, func(worker int, local *obs.Metrics) error {
 		sampler := walk.NewSampler(g)
 		for t := worker; t < n; t += workers {
 			if t == landmark {
@@ -355,9 +254,6 @@ func buildDiagMC(g *graph.Graph, landmark int, diag []float64, opts IndexOptions
 		return nil
 	})
 }
-
-// MemoryBytes reports the index footprint.
-func (idx *Index) MemoryBytes() int64 { return int64(len(idx.Diag)) * 8 }
 
 // acquireSolver returns a pooled grounded solver bound to the index
 // landmark, creating one on a pool miss. New solvers inherit the index's

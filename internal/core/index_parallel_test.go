@@ -15,7 +15,7 @@ func buildDiag(t *testing.T, mode DiagMode, workers int, seed uint64) []float64 
 	t.Helper()
 	g := testBA(t, 400, 90)
 	v := g.MaxDegreeVertex()
-	idx, err := BuildIndex(g, v, IndexOptions{
+	idx, err := buildIndex(g, v, PortfolioOptions{
 		Mode:           mode,
 		WalksPerVertex: 24,
 		SketchEpsilon:  0.5,
@@ -63,7 +63,7 @@ func TestBuildIndexConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = BuildIndex(g, v, IndexOptions{
+			_, errs[i] = buildIndex(g, v, PortfolioOptions{
 				Mode:           DiagMC,
 				WalksPerVertex: 8,
 				Workers:        4,
@@ -94,7 +94,7 @@ func TestBuildIndexConcurrent(t *testing.T) {
 func TestBuildIndexMetricsSeparation(t *testing.T) {
 	g := testBA(t, 200, 92)
 	m := &obs.Metrics{}
-	_, err := BuildIndex(g, g.MaxDegreeVertex(), IndexOptions{
+	_, err := buildIndex(g, g.MaxDegreeVertex(), PortfolioOptions{
 		Mode:           DiagMC,
 		WalksPerVertex: 8,
 		Metrics:        m,
@@ -118,7 +118,7 @@ func TestBuildIndexMetricsSeparation(t *testing.T) {
 // used to nil-panic instead).
 func TestBuildIndexMCNeedsRNG(t *testing.T) {
 	g := testBA(t, 50, 93)
-	if _, err := BuildIndex(g, 0, IndexOptions{Mode: DiagMC}, nil); err == nil {
+	if _, err := buildIndex(g, 0, PortfolioOptions{Mode: DiagMC}, nil); err == nil {
 		t.Error("DiagMC build without RNG accepted")
 	}
 }
@@ -128,7 +128,7 @@ func TestBuildIndexMCNeedsRNG(t *testing.T) {
 func TestSingleSourceConcurrent(t *testing.T) {
 	g := testBA(t, 200, 94)
 	v := g.MaxDegreeVertex()
-	idx, err := BuildIndex(g, v, IndexOptions{Mode: DiagExactCG}, nil)
+	idx, err := buildIndex(g, v, PortfolioOptions{Mode: DiagExactCG}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,12 +9,23 @@ import (
 	"landmarkrd/internal/randx"
 )
 
+// buildIndex builds the K=1 portfolio {v} and returns its single-landmark
+// index view.
+func buildIndex(g *graph.Graph, v int, opts PortfolioOptions, rng *randx.RNG) (*Index, error) {
+	opts.Landmarks = []int{v}
+	p, err := BuildPortfolio(g, opts, rng)
+	if err != nil {
+		return nil, err
+	}
+	return p.Index(0), nil
+}
+
 func TestIndexDiagModesAgree(t *testing.T) {
 	g := testBA(t, 80, 80)
 	rng := randx.New(5)
 	v := g.MaxDegreeVertex()
 
-	exact, err := BuildIndex(g, v, IndexOptions{Mode: DiagExactCG}, nil)
+	exact, err := buildIndex(g, v, PortfolioOptions{Mode: DiagExactCG}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,11 +43,11 @@ func TestIndexDiagModesAgree(t *testing.T) {
 		t.Errorf("diag[landmark] = %v, want 0", exact.Diag[v])
 	}
 
-	mc, err := BuildIndex(g, v, IndexOptions{Mode: DiagMC, WalksPerVertex: 3000}, rng)
+	mc, err := buildIndex(g, v, PortfolioOptions{Mode: DiagMC, WalksPerVertex: 3000}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk, err := BuildIndex(g, v, IndexOptions{Mode: DiagSketch, SketchEpsilon: 0.15}, rng)
+	sk, err := buildIndex(g, v, PortfolioOptions{Mode: DiagSketch, SketchEpsilon: 0.15}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,21 +66,18 @@ func TestIndexDiagModesAgree(t *testing.T) {
 
 func TestIndexValidation(t *testing.T) {
 	g := testBA(t, 40, 81)
-	if _, err := BuildIndex(g, -1, IndexOptions{Mode: DiagExactCG}, nil); err == nil {
+	if _, err := buildIndex(g, -1, PortfolioOptions{Mode: DiagExactCG}, nil); err == nil {
 		t.Error("invalid landmark accepted")
 	}
-	if _, err := BuildIndex(g, 0, IndexOptions{Mode: DiagMode(9)}, nil); err == nil {
+	if _, err := buildIndex(g, 0, PortfolioOptions{Mode: DiagMode(9)}, nil); err == nil {
 		t.Error("unknown mode accepted")
 	}
-	idx, err := BuildIndex(g, 0, IndexOptions{Mode: DiagExactCG}, nil)
+	idx, err := buildIndex(g, 0, PortfolioOptions{Mode: DiagExactCG}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := idx.SingleSource(-3, SingleSourceOptions{}); err == nil {
 		t.Error("invalid source accepted")
-	}
-	if idx.MemoryBytes() != int64(g.N())*8 {
-		t.Errorf("MemoryBytes = %d", idx.MemoryBytes())
 	}
 }
 
@@ -85,7 +93,7 @@ func TestDiagModeString(t *testing.T) {
 func TestSingleSourceFromLandmark(t *testing.T) {
 	g := testBA(t, 60, 82)
 	v := g.MaxDegreeVertex()
-	idx, err := BuildIndex(g, v, IndexOptions{Mode: DiagExactCG}, nil)
+	idx, err := buildIndex(g, v, PortfolioOptions{Mode: DiagExactCG}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +115,7 @@ func TestSingleSourceFromLandmark(t *testing.T) {
 func TestSingleSourceWithPushColumn(t *testing.T) {
 	g := testBA(t, 120, 83)
 	v := g.MaxDegreeVertex()
-	idx, err := BuildIndex(g, v, IndexOptions{Mode: DiagExactCG}, nil)
+	idx, err := buildIndex(g, v, PortfolioOptions{Mode: DiagExactCG}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +141,7 @@ func TestSingleSourceAgainstExactEverywhere(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := g.MaxDegreeVertex()
-	idx, err := BuildIndex(g, v, IndexOptions{Mode: DiagExactCG}, nil)
+	idx, err := buildIndex(g, v, PortfolioOptions{Mode: DiagExactCG}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

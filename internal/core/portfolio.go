@@ -61,16 +61,23 @@ type PortfolioOptions struct {
 	// Landmarks pins the landmark set explicitly, overriding K/Strategy.
 	Landmarks []int
 
-	// Mode and the per-mode knobs mirror IndexOptions.
-	Mode           DiagMode
+	// Mode selects the column builder (default DiagExactCG).
+	Mode DiagMode
+	// WalksPerVertex is the DiagMC sample count (default 64).
 	WalksPerVertex int
-	MaxSteps       int
-	SketchEpsilon  float64
-	Tol            float64
-	// Precond selects the CG preconditioner per landmark column (see
-	// IndexOptions.Precond). PrecondAuto resolves independently for each
-	// landmark from its BFS eccentricity; the resolved modes are recorded
-	// in Portfolio.PrecondModes.
+	// MaxSteps truncates DiagMC walks (default max(100·n, 10⁵)).
+	MaxSteps int
+	// SketchEpsilon is the DiagSketch relative-error target (default 0.3).
+	SketchEpsilon float64
+	// Tol is the DiagExactCG solver tolerance (default lap.ExactTol).
+	Tol float64
+	// Precond selects the CG preconditioner per landmark column, used by
+	// the exact column build and every later SingleSource query solve
+	// (default PrecondJacobi, the zero value). PrecondAuto resolves
+	// independently for each landmark from its BFS eccentricity; the
+	// resolved modes are recorded in Portfolio.PrecondModes. A chol factor
+	// is built once per column and shared read-only across build workers
+	// and pooled query solvers.
 	Precond PrecondMode
 	// PrecondSeed seeds the approximate-Cholesky factorizations; landmark
 	// j's factor uses PrecondSeed + j·golden so factors stay distinct yet
@@ -241,10 +248,22 @@ func hopsToSet(g *graph.Graph, sources []int) []int32 {
 // Column j draws from its own random stream derived from the root seed, so
 // the portfolio is byte-identical for a fixed seed at any worker count and
 // column j of a K-portfolio equals column j of any larger portfolio with
-// the same landmark prefix.
+// the same landmark prefix. A single-landmark index is the K=1 case. rng
+// drives landmark selection and the randomized modes (DiagMC, DiagSketch,
+// which reject a nil rng); it may be nil for DiagExactCG with
+// deterministic selection.
 func BuildPortfolio(g *graph.Graph, opts PortfolioOptions, rng *randx.RNG) (*Portfolio, error) {
 	if err := requireConnected(g); err != nil {
 		return nil, err
+	}
+	switch opts.Mode {
+	case DiagExactCG:
+	case DiagMC, DiagSketch:
+		if rng == nil {
+			return nil, fmt.Errorf("core: %v portfolio build requires an RNG", opts.Mode)
+		}
+	default:
+		return nil, fmt.Errorf("core: unknown diag mode %d", int(opts.Mode))
 	}
 	landmarks := opts.Landmarks
 	if len(landmarks) == 0 {
@@ -269,14 +288,7 @@ func BuildPortfolio(g *graph.Graph, opts PortfolioOptions, rng *randx.RNG) (*Por
 	k := len(landmarks)
 	cols := make([][]float64, k)
 	times := make([]time.Duration, k)
-	iopts := IndexOptions{
-		Mode:           opts.Mode,
-		WalksPerVertex: opts.WalksPerVertex,
-		MaxSteps:       opts.MaxSteps,
-		Tol:            opts.Tol,
-		Workers:        opts.Workers,
-	}
-	workers := indexWorkers(iopts, n)
+	workers := indexWorkers(opts.Workers, n)
 	// Root seed for the per-column streams; drawn once so the portfolio is
 	// reproducible from (graph, landmarks, seed) alone.
 	var root uint64
@@ -288,9 +300,6 @@ func BuildPortfolio(g *graph.Graph, opts PortfolioOptions, rng *randx.RNG) (*Por
 		eps := opts.SketchEpsilon
 		if eps <= 0 {
 			eps = 0.3
-		}
-		if rng == nil {
-			return nil, fmt.Errorf("core: DiagSketch portfolio build requires an RNG")
 		}
 		var err error
 		sk, err = sketch.Build(g, sketch.Options{Epsilon: eps, Workers: workers}, rng)
@@ -310,12 +319,12 @@ func BuildPortfolio(g *graph.Graph, opts PortfolioOptions, rng *randx.RNG) (*Por
 		precs[j], modes[j] = pc, resolved
 		switch opts.Mode {
 		case DiagExactCG:
-			if err := buildDiagExact(g, v, cols[j], iopts, workers, pc); err != nil {
+			if err := buildDiagExact(g, v, cols[j], opts.Tol, workers, pc); err != nil {
 				return nil, err
 			}
 		case DiagMC:
 			colRNG := randx.New(root + uint64(j+1)*0x9e3779b97f4a7c15)
-			if err := buildDiagMC(g, v, cols[j], iopts, workers, colRNG); err != nil {
+			if err := buildDiagMC(g, v, cols[j], opts.WalksPerVertex, opts.MaxSteps, workers, colRNG, opts.Metrics); err != nil {
 				return nil, err
 			}
 		case DiagSketch:
@@ -323,8 +332,6 @@ func BuildPortfolio(g *graph.Graph, opts PortfolioOptions, rng *randx.RNG) (*Por
 				return nil, err
 			}
 			cols[j][v] = 0
-		default:
-			return nil, fmt.Errorf("core: unknown diag mode %d", int(opts.Mode))
 		}
 		times[j] = time.Since(colStart)
 		if opts.Metrics != nil {
@@ -336,7 +343,6 @@ func BuildPortfolio(g *graph.Graph, opts PortfolioOptions, rng *randx.RNG) (*Por
 	p.ColBuildTimes = times
 	p.PrecondModes = modes
 	for j := range p.indices {
-		p.indices[j].Precond = modes[j]
 		p.indices[j].precond = precs[j]
 	}
 	if opts.Metrics != nil {
@@ -353,7 +359,7 @@ func NewPortfolio(g *graph.Graph, mode DiagMode, landmarks []int, cols [][]float
 	p := &Portfolio{G: g, Mode: mode, Landmarks: landmarks, Cols: cols}
 	p.indices = make([]*Index, len(landmarks))
 	for j, v := range landmarks {
-		p.indices[j] = &Index{G: g, Landmark: v, Diag: cols[j], Mode: mode}
+		p.indices[j] = &Index{G: g, Landmark: v, Diag: cols[j]}
 	}
 	p.routed = make([]obs.Counter, len(landmarks))
 	return p

@@ -81,17 +81,17 @@ func TestBuildIndexPrecondAgreement(t *testing.T) {
 	v := grid.MaxDegreeVertex()
 	diags := map[PrecondMode][]float64{}
 	for _, mode := range []PrecondMode{PrecondJacobi, PrecondNone, PrecondChol, PrecondAuto} {
-		idx, err := BuildIndex(grid, v, IndexOptions{Mode: DiagExactCG, Precond: mode}, randx.New(5))
+		p, err := BuildPortfolio(grid, PortfolioOptions{Landmarks: []int{v}, Mode: DiagExactCG, Precond: mode}, randx.New(5))
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		diags[mode] = idx.Diag
+		diags[mode] = p.Cols[0]
 		want := mode
 		if mode == PrecondAuto {
 			want = PrecondChol // grid: high eccentricity
 		}
-		if idx.Precond != want {
-			t.Errorf("mode %v resolved to %v, want %v", mode, idx.Precond, want)
+		if p.PrecondModes[0] != want {
+			t.Errorf("mode %v resolved to %v, want %v", mode, p.PrecondModes[0], want)
 		}
 	}
 	ref := diags[PrecondJacobi]
@@ -114,7 +114,7 @@ func TestBuildIndexCholDeterministicAcrossWorkers(t *testing.T) {
 	}
 	v := grid.MaxDegreeVertex()
 	build := func(workers int) []float64 {
-		idx, err := BuildIndex(grid, v, IndexOptions{
+		idx, err := buildIndex(grid, v, PortfolioOptions{
 			Mode: DiagExactCG, Precond: PrecondChol, Workers: workers,
 		}, randx.New(9))
 		if err != nil {
@@ -141,7 +141,7 @@ func TestPrecondMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := &obs.Metrics{}
-	if _, err := BuildIndex(grid, 0, IndexOptions{Mode: DiagExactCG, Precond: PrecondChol, Metrics: m}, randx.New(1)); err != nil {
+	if _, err := buildIndex(grid, 0, PortfolioOptions{Mode: DiagExactCG, Precond: PrecondChol, Metrics: m}, randx.New(1)); err != nil {
 		t.Fatal(err)
 	}
 	snap := m.Snapshot()
@@ -149,7 +149,7 @@ func TestPrecondMetrics(t *testing.T) {
 		t.Errorf("PrecondBuilds = %d, want 1", snap.PrecondBuilds)
 	}
 	m2 := &obs.Metrics{}
-	if _, err := BuildIndex(grid, 0, IndexOptions{Mode: DiagExactCG, Metrics: m2}, randx.New(1)); err != nil {
+	if _, err := buildIndex(grid, 0, PortfolioOptions{Mode: DiagExactCG, Metrics: m2}, randx.New(1)); err != nil {
 		t.Fatal(err)
 	}
 	if m2.Snapshot().PrecondBuilds != 0 {

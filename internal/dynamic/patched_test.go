@@ -15,11 +15,11 @@ import (
 
 func buildPatchTestIndex(t *testing.T, g *graph.Graph, landmark int) *core.Index {
 	t.Helper()
-	idx, err := core.BuildIndex(g, landmark, core.IndexOptions{Mode: core.DiagExactCG, Tol: 1e-12}, nil)
+	p, err := core.BuildPortfolio(g, core.PortfolioOptions{Landmarks: []int{landmark}, Tol: 1e-12}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return idx
+	return p.Index(0)
 }
 
 // TestPatchedPairMatchesRebuild: after each streamed mutation the patched

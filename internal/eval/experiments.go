@@ -754,13 +754,15 @@ func ExpSingleSource(cfg ExpConfig) error {
 			"diag-mode", "build-time", "index-bytes", "query-time", "mean-abs-err", "max-abs-err")
 		for _, mode := range []core.DiagMode{core.DiagExactCG, core.DiagMC, core.DiagSketch} {
 			start := time.Now()
-			idx, err := core.BuildIndex(g, v, core.IndexOptions{Mode: mode, WalksPerVertex: 96, SketchEpsilon: 0.25, Workers: cfg.Workers}, rng.Split())
+			p, err := core.BuildPortfolio(g, core.PortfolioOptions{
+				Landmarks: []int{v}, Mode: mode, WalksPerVertex: 96, SketchEpsilon: 0.25, Workers: cfg.Workers,
+			}, rng.Split())
 			if err != nil {
 				return err
 			}
 			build := time.Since(start)
 			start = time.Now()
-			got, err := idx.SingleSource(src, core.SingleSourceOptions{Tol: 1e-9})
+			got, _, err := p.SingleSource(src, core.SingleSourceOptions{Tol: 1e-9})
 			if err != nil {
 				return err
 			}
@@ -774,7 +776,7 @@ func ExpSingleSource(cfg ExpConfig) error {
 				}
 			}
 			meanErr /= float64(len(got))
-			t.AddRow(mode.String(), build, idx.MemoryBytes(), qt, meanErr, maxErr)
+			t.AddRow(mode.String(), build, p.MemoryBytes(), qt, meanErr, maxErr)
 		}
 		if err := cfg.emit(t); err != nil {
 			return err
@@ -786,13 +788,13 @@ func ExpSingleSource(cfg ExpConfig) error {
 func exactSingleSource(g *graph.Graph, src int) ([]float64, error) {
 	// One grounded solve per landmark identity with an exact diag from the
 	// dense path would be O(n³); instead ground at src itself:
-	// r(src,t) = L_src⁻¹[t,t], so a DiagExactCG index at landmark=src IS
+	// r(src,t) = L_src⁻¹[t,t], so the DiagExactCG column of landmark src IS
 	// the exact single-source vector.
-	idx, err := core.BuildIndex(g, src, core.IndexOptions{Mode: core.DiagExactCG}, nil)
+	p, err := core.BuildPortfolio(g, core.PortfolioOptions{Landmarks: []int{src}}, nil)
 	if err != nil {
 		return nil, err
 	}
-	return idx.Diag, nil
+	return p.Cols[0], nil
 }
 
 // ExpIdentities is E8: global accuracy sanity checks — closed forms and the

@@ -209,7 +209,7 @@ type Metrics struct {
 	QueryTime        Histogram // per-query wall time, nanoseconds
 	PushWork         Histogram // per-query push edge relaxations
 	WalkWork         Histogram // per-query walk steps
-	IndexBuildTime   Histogram // per-BuildIndex wall time, nanoseconds
+	IndexBuildTime   Histogram // per-BuildPortfolio wall time, nanoseconds
 	ColumnBuildTime  Histogram // per-landmark portfolio column build time, ns
 	PrecondBuildTime Histogram // per-factorization preconditioner build time, ns
 	RebaseTime       Histogram // per-rebase wall time, nanoseconds

@@ -352,7 +352,7 @@ func TestLivePortfolioAndNoIndexModes(t *testing.T) {
 		}
 		ep := li.Pin()
 		defer ep.Release()
-		if ep.Index() != nil {
+		if ep.Portfolio() != nil {
 			t.Fatal("NoIndex mode built an index")
 		}
 		if _, err := ep.SingleSourceContext(ctx, 0); err == nil {
@@ -381,9 +381,8 @@ func TestLiveValidationAndErrors(t *testing.T) {
 	}); err == nil {
 		t.Error("PinLandmark in Batch accepted")
 	}
-	if _, err := landmarkrd.NewLiveIndex(g, landmarkrd.LiveOptions{PortfolioK: 2,
-		InitialIndex: &landmarkrd.LandmarkIndex{}}); err == nil {
-		t.Error("InitialIndex with PortfolioK accepted")
+	if _, err := landmarkrd.NewLiveIndex(g, landmarkrd.LiveOptions{NoIndex: true, PortfolioK: 2}); err == nil {
+		t.Error("NoIndex with PortfolioK accepted")
 	}
 
 	li, err := landmarkrd.NewLiveIndex(g, landmarkrd.LiveOptions{Method: landmarkrd.Push})
@@ -427,8 +426,9 @@ func TestLiveValidationAndErrors(t *testing.T) {
 }
 
 // TestLivePublishIndexHotReload covers the unified SIGHUP path: publishing
-// a prebuilt index swaps the serving graph and drops pending patches, and
-// the superseded epoch retires once unpinned.
+// a prebuilt single-landmark index (a K=1 portfolio) swaps the serving
+// graph and drops pending patches, and the superseded epoch retires once
+// unpinned.
 func TestLivePublishIndexHotReload(t *testing.T) {
 	g := liveTestGraph(t)
 	ctx := context.Background()
@@ -448,11 +448,11 @@ func TestLivePublishIndexHotReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx2, err := landmarkrd.BuildLandmarkIndexOpts(g2, 0, landmarkrd.IndexBuildOptions{})
+	idx2, err := landmarkrd.BuildPortfolioIndex(g2, landmarkrd.PortfolioBuildOptions{Landmarks: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := li.PublishIndex(idx2)
+	seq, err := li.PublishPortfolio(idx2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,13 +467,12 @@ func TestLivePublishIndexHotReload(t *testing.T) {
 	if ep.Graph() != g2 {
 		t.Fatal("reload did not adopt the new graph")
 	}
-	if ep.Landmark() != 0 || ep.Index() != idx2 {
-		t.Fatalf("reload landmark %d index %p, want pinned snapshot index", ep.Landmark(), ep.Index())
+	if ep.Landmark() != 0 || ep.Portfolio() != idx2 {
+		t.Fatalf("reload landmark %d index %p, want pinned snapshot index", ep.Landmark(), ep.Portfolio())
 	}
 	if retires.Load() != 1 {
 		t.Fatalf("retires = %d, want 1", retires.Load())
 	}
-	// Portfolio publish on an index-mode live index must be rejected.
 	if _, err := li.PublishPortfolio(nil); err == nil {
 		t.Error("nil portfolio accepted")
 	}
@@ -564,8 +563,8 @@ func TestLiveLandmarksPinnedAcrossRebase(t *testing.T) {
 	}
 	check("post-rebase")
 
-	// Landmarks without portfolio mode is a configuration error.
-	if _, err := landmarkrd.NewLiveIndex(g, landmarkrd.LiveOptions{Landmarks: []int{1}}); err == nil {
-		t.Error("Landmarks without PortfolioK accepted")
+	// Landmarks without an index is a configuration error.
+	if _, err := landmarkrd.NewLiveIndex(g, landmarkrd.LiveOptions{NoIndex: true, Landmarks: []int{1}}); err == nil {
+		t.Error("Landmarks in NoIndex mode accepted")
 	}
 }

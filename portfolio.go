@@ -57,8 +57,10 @@ type PortfolioBuildOptions struct {
 }
 
 // BuildPortfolioIndex selects K landmarks by the cost-law score and builds
-// one diagonal column per landmark. See PortfolioIndex for the routing
-// model and SingleSource/NewPortfolioEstimator/BatchOptions.Portfolio for
+// one diagonal column per landmark. A single-landmark index is the K=1
+// case (K: 1, or Landmarks: []int{v} to pin the vertex). See
+// PortfolioIndex for the routing model and
+// PortfolioSingleSource/NewPortfolioEstimator/BatchOptions.Portfolio for
 // the query paths.
 func BuildPortfolioIndex(g *Graph, opts PortfolioBuildOptions) (*PortfolioIndex, error) {
 	if err := requireGraph(g); err != nil {

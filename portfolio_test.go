@@ -166,11 +166,6 @@ func TestPortfolioSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 
-	t.Run("V2ReaderRejectsV3", func(t *testing.T) {
-		if _, err := ReadIndexFrom(bytes.NewReader(raw), c.G); !errors.Is(err, ErrSnapshotVersion) {
-			t.Fatalf("ReadIndexFrom on v3 bytes: %v, want ErrSnapshotVersion", err)
-		}
-	})
 	t.Run("ChecksumTrips", func(t *testing.T) {
 		bad := append([]byte(nil), raw...)
 		bad[len(bad)/2] ^= 0x40
@@ -194,30 +189,49 @@ func TestPortfolioSnapshotRoundTrip(t *testing.T) {
 	})
 }
 
-// TestPortfolioSnapshotV2Compat reads a v2 single-landmark snapshot
-// through the portfolio loader: it must come back as a K=1 portfolio with
-// the identical column, so pre-portfolio snapshot files keep working.
+// TestPortfolioSnapshotV2Compat loads the committed v2 fixture — written
+// by the retired v2 writer — through the portfolio loader: it must come
+// back as a K=1 portfolio whose column is Float64bits-identical to a fresh
+// K=1 exact build with the fixture's landmark and seed, and answer
+// single-source queries identically, so pre-portfolio snapshot files keep
+// working.
 func TestPortfolioSnapshotV2Compat(t *testing.T) {
-	c := conformanceCases(t)[0]
-	idx, err := BuildLandmarkIndexOpts(c.G, c.Landmark, IndexBuildOptions{Mode: DiagExactCG, Seed: 3})
+	g, _, err := LoadEdgeList(v2FixtureGraph)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
+	p, err := LoadPortfolioIndex(v2Fixture, g)
+	if err != nil {
+		t.Fatalf("LoadPortfolioIndex on the v2 fixture: %v", err)
+	}
+	fresh, err := BuildPortfolioIndex(g, PortfolioBuildOptions{
+		Landmarks: []int{g.MaxDegreeVertex()}, Mode: DiagExactCG, Seed: 3,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := ReadPortfolioFrom(&buf, c.G)
-	if err != nil {
-		t.Fatalf("ReadPortfolioFrom on v2 bytes: %v", err)
-	}
-	if p.K() != 1 || p.Landmarks[0] != idx.Landmark || p.Mode != idx.Mode {
+	if p.K() != 1 || p.Primary() != fresh.Primary() || p.Mode != DiagExactCG {
 		t.Fatalf("v2 upgrade: K=%d landmarks=%v mode=%v, want K=1 [%d] %v",
-			p.K(), p.Landmarks, p.Mode, idx.Landmark, idx.Mode)
+			p.K(), p.Landmarks, p.Mode, fresh.Primary(), DiagExactCG)
 	}
-	for i := range idx.Diag {
-		if math.Float64bits(p.Cols[0][i]) != math.Float64bits(idx.Diag[i]) {
-			t.Fatalf("v2 upgrade changed column entry %d", i)
+	for i := range fresh.Cols[0] {
+		if math.Float64bits(p.Cols[0][i]) != math.Float64bits(fresh.Cols[0][i]) {
+			t.Fatalf("v2 column entry %d = %v, fresh build %v", i, p.Cols[0][i], fresh.Cols[0][i])
+		}
+	}
+	for _, s := range []int{0, 17, g.N() - 1} {
+		a, _, err := PortfolioSingleSource(p, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _, err := PortfolioSingleSource(fresh, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range a {
+			if math.Float64bits(a[v]) != math.Float64bits(b[v]) {
+				t.Fatalf("single-source r(%d,%d): v2 %v, fresh %v", s, v, a[v], b[v])
+			}
 		}
 	}
 }

@@ -28,14 +28,14 @@ func TestConformancePrecond(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, mode := range []PrecondMode{PrecondNone, PrecondChol, PrecondAuto} {
-				idx, err := BuildLandmarkIndexOpts(c.G, c.Landmark, IndexBuildOptions{Precond: mode})
+				idx, err := BuildPortfolioIndex(c.G, PortfolioBuildOptions{Landmarks: []int{c.Landmark}, Precond: mode})
 				if err != nil {
 					t.Fatalf("%v build: %v", mode, err)
 				}
-				if mode != PrecondAuto && idx.Precond != mode {
-					t.Errorf("requested %v, index reports %v", mode, idx.Precond)
+				if mode != PrecondAuto && idx.PrecondModes[0] != mode {
+					t.Errorf("requested %v, index reports %v", mode, idx.PrecondModes[0])
 				}
-				got, err := idx.SingleSource(s, core.SingleSourceOptions{Tol: 1e-12})
+				got, _, err := idx.SingleSource(s, core.SingleSourceOptions{Tol: 1e-12})
 				if err != nil {
 					t.Fatalf("%v SingleSource: %v", mode, err)
 				}
@@ -62,13 +62,13 @@ func TestConformancePrecondWorkerDeterminism(t *testing.T) {
 		t.Fatal("corpus graph grid_14x14 missing")
 	}
 	build := func(workers int) []float64 {
-		idx, err := BuildLandmarkIndexOpts(c.G, c.Landmark, IndexBuildOptions{
-			Precond: PrecondChol, Workers: workers,
+		idx, err := BuildPortfolioIndex(c.G, PortfolioBuildOptions{
+			Landmarks: []int{c.Landmark}, Precond: PrecondChol, Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return idx.Diag
+		return idx.Cols[0]
 	}
 	seq := build(1)
 	par := build(8)

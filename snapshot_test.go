@@ -11,9 +11,10 @@ import (
 )
 
 // TestSnapshotRoundTripCorpus: for every conformance corpus graph and every
-// diagonal mode, a snapshot written with WriteTo and read back with
-// ReadIndexFrom is Float64bits-identical to the freshly built index, both
-// in the stored diagonal and in the single-source answers derived from it.
+// diagonal mode, a single-landmark (K=1) snapshot written with WriteTo and
+// read back with ReadPortfolioFrom is Float64bits-identical to the freshly
+// built index, both in the stored column and in the single-source answers
+// derived from it.
 func TestSnapshotRoundTripCorpus(t *testing.T) {
 	graphs, err := filepath.Glob("testdata/corpus/*.edges")
 	if err != nil {
@@ -30,8 +31,8 @@ func TestSnapshotRoundTripCorpus(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				idx, err := landmarkrd.BuildLandmarkIndexOpts(g, g.MaxDegreeVertex(), landmarkrd.IndexBuildOptions{
-					Mode: mode, Seed: 7,
+				idx, err := landmarkrd.BuildPortfolioIndex(g, landmarkrd.PortfolioBuildOptions{
+					Landmarks: []int{g.MaxDegreeVertex()}, Mode: mode, Seed: 7,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -40,26 +41,26 @@ func TestSnapshotRoundTripCorpus(t *testing.T) {
 				if _, err := idx.WriteTo(&buf); err != nil {
 					t.Fatal(err)
 				}
-				got, err := landmarkrd.ReadIndexFrom(&buf, g)
+				got, err := landmarkrd.ReadPortfolioFrom(&buf, g)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got.Landmark != idx.Landmark || got.Mode != idx.Mode {
-					t.Fatalf("header changed: landmark %d mode %v, want %d %v",
-						got.Landmark, got.Mode, idx.Landmark, idx.Mode)
+				if got.K() != 1 || got.Primary() != idx.Primary() || got.Mode != idx.Mode {
+					t.Fatalf("header changed: landmarks %v mode %v, want [%d] %v",
+						got.Landmarks, got.Mode, idx.Primary(), idx.Mode)
 				}
-				for i := range idx.Diag {
-					if math.Float64bits(got.Diag[i]) != math.Float64bits(idx.Diag[i]) {
-						t.Fatalf("Diag[%d]: %x, want %x", i,
-							math.Float64bits(got.Diag[i]), math.Float64bits(idx.Diag[i]))
+				for i, want := range idx.Cols[0] {
+					if math.Float64bits(got.Cols[0][i]) != math.Float64bits(want) {
+						t.Fatalf("column[%d]: %x, want %x", i,
+							math.Float64bits(got.Cols[0][i]), math.Float64bits(want))
 					}
 				}
-				s := (idx.Landmark + 1) % g.N()
-				a, err := landmarkrd.SingleSource(idx, s)
+				s := (idx.Primary() + 1) % g.N()
+				a, _, err := landmarkrd.PortfolioSingleSource(idx, s)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := landmarkrd.SingleSource(got, s)
+				b, _, err := landmarkrd.PortfolioSingleSource(got, s)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,7 +86,7 @@ func TestSnapshotGraphBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := landmarkrd.BuildLandmarkIndex(g, 0, landmarkrd.DiagExactCG, 1)
+	idx, err := landmarkrd.BuildPortfolioIndex(g, landmarkrd.PortfolioBuildOptions{Landmarks: []int{0}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +94,10 @@ func TestSnapshotGraphBinding(t *testing.T) {
 	if _, err := idx.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := landmarkrd.ReadIndexFrom(bytes.NewReader(buf.Bytes()), other); !errors.Is(err, landmarkrd.ErrSnapshotMismatch) {
+	if _, err := landmarkrd.ReadPortfolioFrom(bytes.NewReader(buf.Bytes()), other); !errors.Is(err, landmarkrd.ErrSnapshotMismatch) {
 		t.Errorf("foreign graph: err = %v, want ErrSnapshotMismatch", err)
 	}
-	if _, err := landmarkrd.ReadIndexFrom(bytes.NewReader(buf.Bytes()[:40]), g); !errors.Is(err, landmarkrd.ErrSnapshotCorrupt) {
+	if _, err := landmarkrd.ReadPortfolioFrom(bytes.NewReader(buf.Bytes()[:40]), g); !errors.Is(err, landmarkrd.ErrSnapshotCorrupt) {
 		t.Errorf("truncated: err = %v, want ErrSnapshotCorrupt", err)
 	}
 }

@@ -306,9 +306,12 @@ func BenchmarkBuildIndex(b *testing.B) {
 }
 
 // BenchmarkBuildPortfolio measures K-landmark portfolio construction in
-// each DiagMode at K=4 (the default). Workers is left at 0, so -cpu 1,4
-// compares sequential and parallel column builds; for a fixed seed both
-// produce bit-identical columns.
+// each DiagMode at K=4 (the default), reporting total CG iterations per
+// build alongside wall time. An exact build is one n−1-solve sweep
+// grounded at the primary landmark whatever K is, so its cg-iters/op
+// matches a one-landmark build. Workers is left at 0, so -cpu 1,4 compares
+// sequential and parallel column builds; for a fixed seed both produce
+// bit-identical columns.
 func BenchmarkBuildPortfolio(b *testing.B) {
 	g, err := graph.BarabasiAlbert(2000, 4, randx.New(20))
 	if err != nil {
@@ -323,12 +326,16 @@ func BenchmarkBuildPortfolio(b *testing.B) {
 		{"sketch", core.PortfolioOptions{K: 4, Mode: core.DiagSketch, SketchEpsilon: 0.3}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			before := lap.SolverMetrics().Snapshot().CGIterations
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.BuildPortfolio(g, bc.opts, randx.New(21)); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			after := lap.SolverMetrics().Snapshot().CGIterations
+			b.ReportMetric(float64(after-before)/float64(b.N), "cg-iters/op")
 		})
 	}
 }

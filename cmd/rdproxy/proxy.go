@@ -892,6 +892,12 @@ func (p *proxyServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
 	var req batchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			p.writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+			return
+		}
 		p.writeError(w, http.StatusBadRequest, "bad_request", "bad JSON body: "+err.Error())
 		return
 	}

@@ -550,6 +550,19 @@ func TestProxyBadRequests(t *testing.T) {
 			t.Fatalf("GET %s: status %d, want %d", tc.path, rec.Code, tc.code)
 		}
 	}
+	// A batch body over the 1 MiB limit is 413 body_too_large, as on
+	// rdserver, not a 400 about bad JSON.
+	big := `{"pairs":[` + strings.Repeat(`{"s":0,"t":1},`, 1<<17) + `{"s":0,"t":1}]}`
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(big)))
+	var body errorBody
+	if err := json.NewDecoder(rec.Body).Decode(&body); err != nil {
+		t.Fatalf("oversized batch: 413 body not structured: %v", err)
+	}
+	if rec.Code != http.StatusRequestEntityTooLarge || body.Error.Code != "body_too_large" || body.Error.Message == "" {
+		t.Fatalf("oversized batch: status %d code %q message %q, want 413 body_too_large",
+			rec.Code, body.Error.Code, body.Error.Message)
+	}
 	if stubs[0].hits.Load() != 0 {
 		t.Fatal("invalid request reached a replica")
 	}

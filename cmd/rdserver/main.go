@@ -77,7 +77,7 @@ func main() {
 		snapshotFlag = flag.String("snapshot", "", "index snapshot file: load if present, else build and save; SIGHUP reloads it")
 		retriesFlag  = flag.Int("retries", 3, "per-query attempt budget for transient failures (1 disables retries)")
 		degradeFlag  = flag.Duration("degrade-below", 0, "answer with the degraded Monte Carlo tier when less than this budget remains (0 disables)")
-		maxBodyFlag  = flag.Int64("max-body", 1<<20, "max batch request body bytes")
+		maxBodyFlag  = flag.Int64("max-body", 1<<20, "max /v1/batch and /v1/update request body bytes")
 		patchesFlag  = flag.Int("max-patches", 0, "re-base the index after this many live updates (0 = default 64, negative disables)")
 		rebaseFlag   = flag.Duration("rebase-interval", 0, "also re-base pending live updates on this interval (0 disables)")
 		landmarkFlag = flag.String("landmarks", "", "serve exactly these portfolio landmark vertices, comma-separated (a replica's shard subset; implies -portfolio)")

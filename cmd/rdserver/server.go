@@ -37,7 +37,7 @@ type serverConfig struct {
 	snapshot     string        // index snapshot path; load if present, else build and save
 	retries      int           // per-query attempt budget for transient failures (0 = 1)
 	degradeBelow time.Duration // degrade queries with less deadline than this left
-	maxBody      int64         // batch body byte cap; 0 means 1 MiB
+	maxBody      int64         // /v1/batch and /v1/update body byte cap; 0 means 1 MiB
 	maxPatches   int           // re-base after this many live updates (0 = 64, <0 disables)
 	rebaseInt    time.Duration // periodic re-base interval; 0 disables the ticker
 	landmarks    string        // explicit portfolio landmark vertices ("3,17,42"); a replica's shard subset
@@ -735,23 +735,34 @@ type batchRequest struct {
 	} `json:"pairs"`
 }
 
-func (s *queryServer) handleBatch(w http.ResponseWriter, r *http.Request) {
-	ep := s.live.Pin()
-	defer ep.Release()
+// decodeBody decodes the JSON request body into v, capped at -max-body
+// bytes (1 MiB by default). On failure it answers the request itself —
+// 413 body_too_large past the cap, 400 bad_request for anything else — and
+// returns false.
+func (s *queryServer) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	maxBody := s.cfg.maxBody
 	if maxBody <= 0 {
-		maxBody = 1 << 20 // 1 MiB default
+		maxBody = 1 << 20
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
-				fmt.Sprintf("batch body exceeds %d bytes", tooBig.Limit))
-			return
+				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+			return false
 		}
 		s.writeError(w, http.StatusBadRequest, "bad_request", "bad JSON body: "+err.Error())
+		return false
+	}
+	return true
+}
+
+func (s *queryServer) handleBatch(w http.ResponseWriter, r *http.Request) {
+	ep := s.live.Pin()
+	defer ep.Release()
+	var req batchRequest
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Pairs) == 0 {
@@ -860,14 +871,8 @@ func (s *queryServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			"reload in progress; retry the update once the server is ready")
 		return
 	}
-	maxBody := s.cfg.maxBody
-	if maxBody <= 0 {
-		maxBody = 1 << 20
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 	var req updateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "bad JSON body: "+err.Error())
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	var op landmarkrd.UpdateOp

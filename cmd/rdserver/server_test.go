@@ -24,7 +24,7 @@ import (
 
 const corpusGraph = "../../testdata/corpus/grid_14x14.edges"
 
-func loadTestGraph(t *testing.T) *landmarkrd.Graph {
+func loadTestGraph(t testing.TB) *landmarkrd.Graph {
 	t.Helper()
 	g, _, err := landmarkrd.LoadEdgeList(corpusGraph)
 	if err != nil {

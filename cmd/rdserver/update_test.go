@@ -42,6 +42,8 @@ func TestUpdateEndpointTable(t *testing.T) {
 		code   string
 	}{
 		{"malformed body", "{not json", http.StatusBadRequest, "bad_request"},
+		{"oversized body", `{"op":"add","s":0,"t":37,"pad":"` + strings.Repeat("x", 1<<20) + `"}`,
+			http.StatusRequestEntityTooLarge, "body_too_large"},
 		{"missing op", `{"s":0,"t":1}`, http.StatusBadRequest, "bad_request"},
 		{"unknown op", `{"op":"toggle","s":0,"t":1}`, http.StatusBadRequest, "bad_request"},
 		{"negative weight", `{"op":"add","s":0,"t":30,"weight":-2}`, http.StatusBadRequest, "bad_request"},

@@ -292,6 +292,60 @@ func TestIndexBuildFaults(t *testing.T) {
 	}
 }
 
+// TestIndexBuildFaultsPortfolio covers a K=3 exact build, whose derived
+// columns come from the one sweep grounded at the primary landmark:
+// index.build errors and panics surface typed with no partial portfolio,
+// latency leaves all three columns unchanged, and an armed cg.iter fault
+// inside the sweep's block solves ends the build with an error.
+func TestIndexBuildFaultsPortfolio(t *testing.T) {
+	defer faultinject.Reset()
+	g := loadCorpusGraph(t, "grid_14x14.edges")
+
+	faultinject.Reset()
+	build := func() (*landmarkrd.PortfolioIndex, error) {
+		return landmarkrd.BuildPortfolioIndex(g, landmarkrd.PortfolioBuildOptions{K: 3, Seed: 1})
+	}
+	baseline, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if baseline.K() != 3 {
+		t.Fatalf("portfolio size %d, want 3", baseline.K())
+	}
+
+	faultinject.Arm(faultinject.SiteIndexBuild, faultinject.Fault{})
+	if p, err := build(); !errors.Is(err, faultinject.ErrInjected) || p != nil {
+		t.Errorf("error fault: (%v, %v), want (nil, ErrInjected)", p, err)
+	}
+
+	faultinject.Arm(faultinject.SiteIndexBuild, faultinject.Fault{Panic: "injected"})
+	if p, err := build(); !errors.Is(err, landmarkrd.ErrInternal) || p != nil {
+		t.Errorf("panic fault: (%v, %v), want (nil, ErrInternal)", p, err)
+	}
+
+	faultinject.Arm(faultinject.SiteIndexBuild, faultinject.Fault{Latency: 10 * time.Microsecond, LatencyOnly: true, Every: 50})
+	p, err := build()
+	if err != nil {
+		t.Fatalf("latency fault: %v", err)
+	}
+	for j := range baseline.Cols {
+		for i := range baseline.Cols[j] {
+			if math.Float64bits(p.Cols[j][i]) != math.Float64bits(baseline.Cols[j][i]) {
+				t.Fatalf("latency fault changed column %d entry %d", j, i)
+			}
+		}
+	}
+
+	faultinject.Reset()
+	faultinject.Arm(faultinject.SiteCGIter, faultinject.Fault{})
+	if p, err := build(); !errors.Is(err, faultinject.ErrInjected) || p != nil {
+		t.Errorf("cg.iter fault: (%v, %v), want (nil, ErrInjected)", p, err)
+	}
+	if faultinject.Hits(faultinject.SiteCGIter) == 0 {
+		t.Error("cg.iter hook never reached")
+	}
+}
+
 // TestCGIterFaults covers the cg.iter site through the exact solver.
 func TestCGIterFaults(t *testing.T) {
 	defer faultinject.Reset()

@@ -23,8 +23,9 @@ import (
 type DiagMode int
 
 const (
-	// DiagExactCG solves one grounded system per vertex — O(n) CG solves,
-	// exact to solver tolerance. Only sensible for small graphs.
+	// DiagExactCG solves one grounded system per vertex — n−1 CG solves for
+	// a whole portfolio, whatever K is — exact to solver tolerance. Only
+	// sensible for small graphs.
 	DiagExactCG DiagMode = iota
 	// DiagMC estimates τ(t,t) = E[visits to t of a v-absorbed walk from t]
 	// by sampling; cost per vertex is the hitting time h(t, v).
@@ -148,7 +149,12 @@ const diagBlockRHS = 8
 // byte-identical at any worker count. tol <= 0 means lap.ExactTol. pc, when
 // non-nil, replaces the built-in Jacobi preconditioner and is shared
 // read-only across workers.
-func buildDiagExact(g *graph.Graph, landmark int, diag []float64, tol float64, workers int, pc linalg.Preconditioner) error {
+//
+// keep maps vertices t ≠ v to caller-owned length-n slices that receive the
+// whole solution L_v⁻¹ e_t of t's sweep solve instead of just its diagonal
+// entry (nil keeps nothing). The sweep solves that system anyway, so a
+// portfolio build gets every other landmark's grounded column for free.
+func buildDiagExact(g *graph.Graph, landmark int, diag []float64, tol float64, workers int, pc linalg.Preconditioner, keep map[int][]float64) error {
 	if tol <= 0 {
 		tol = lap.ExactTol
 	}
@@ -177,6 +183,9 @@ func buildDiagExact(g *graph.Graph, landmark int, diag []float64, tol float64, w
 					return fmt.Errorf("core: index diag solve at %d: %w", t, colErrs[c])
 				}
 				diag[t] = xs[c][t]
+				if dst, ok := keep[t]; ok {
+					copy(dst, xs[c])
+				}
 			}
 			batch = batch[:0]
 			return nil

@@ -37,9 +37,11 @@ type Portfolio struct {
 	Cols [][]float64
 	// BuildTime is the wall time BuildPortfolio took (not persisted).
 	BuildTime time.Duration
-	// ColBuildTimes[j] is the wall time spent on column j. For DiagSketch
-	// the shared sketch construction is amortized into BuildTime and each
-	// entry covers only that column's extraction.
+	// ColBuildTimes[j] is the wall time spent on column j, including its
+	// preconditioner. For DiagExactCG column 0 carries the one grounded
+	// sweep and each derived column j > 0 only its O(n) combination; for
+	// DiagSketch the shared sketch construction is amortized into BuildTime
+	// and each entry covers only that column's extraction.
 	ColBuildTimes []time.Duration
 	// PrecondModes[j] is the resolved preconditioner mode of landmark j
 	// (PrecondAuto replaced by its pick). Empty for loaded snapshots, which
@@ -72,20 +74,23 @@ type PortfolioOptions struct {
 	// Tol is the DiagExactCG solver tolerance (default lap.ExactTol).
 	Tol float64
 	// Precond selects the CG preconditioner per landmark column, used by
-	// the exact column build and every later SingleSource query solve
-	// (default PrecondJacobi, the zero value). PrecondAuto resolves
-	// independently for each landmark from its BFS eccentricity; the
-	// resolved modes are recorded in Portfolio.PrecondModes. A chol factor
-	// is built once per column and shared read-only across build workers
-	// and pooled query solvers.
+	// every later SingleSource query solve against that column (default
+	// PrecondJacobi, the zero value). The exact build's one sweep runs
+	// under column 0's preconditioner. PrecondAuto resolves independently
+	// for each landmark from its BFS eccentricity; the resolved modes are
+	// recorded in Portfolio.PrecondModes. A chol factor is built once per
+	// column and shared read-only across build workers and pooled query
+	// solvers.
 	Precond PrecondMode
 	// PrecondSeed seeds the approximate-Cholesky factorizations; landmark
 	// j's factor uses PrecondSeed + j·golden so factors stay distinct yet
 	// reproducible.
 	PrecondSeed uint64
-	// Workers shards each column build (default GOMAXPROCS). Columns are
-	// byte-identical for a fixed seed regardless of the worker count: every
-	// column draws from its own random stream derived from the root seed.
+	// Workers shards the build: the exact sweep, each DiagMC column or the
+	// sketch (default GOMAXPROCS). Columns are byte-identical for a fixed
+	// seed regardless of the worker count: sweep solves do not depend on
+	// their batch, and every DiagMC column draws from its own random stream
+	// derived from the root seed.
 	Workers int
 	// Metrics, when non-nil, receives one IndexBuilds increment, the total
 	// build wall time (IndexBuildTime), and one ColumnBuildTime observation
@@ -241,17 +246,21 @@ func hopsToSet(g *graph.Graph, sources []int) []int32 {
 	return dist
 }
 
-// BuildPortfolio constructs a K-landmark portfolio. Each landmark's column
-// is one grounded-solver sweep (DiagExactCG), one absorbed-walk sweep
-// (DiagMC), or one extraction from a single sketch shared across all K
-// landmarks (DiagSketch — the sketch is built once, which is the point).
-// Column j draws from its own random stream derived from the root seed, so
-// the portfolio is byte-identical for a fixed seed at any worker count and
-// column j of a K-portfolio equals column j of any larger portfolio with
-// the same landmark prefix. A single-landmark index is the K=1 case. rng
-// drives landmark selection and the randomized modes (DiagMC, DiagSketch,
-// which reject a nil rng); it may be nil for DiagExactCG with
-// deterministic selection.
+// BuildPortfolio constructs a K-landmark portfolio. DiagExactCG runs one
+// grounded-solver sweep at the primary landmark ℓ₁ whatever K is: n−1
+// solves give column 0 = diag(L_{ℓ₁}⁻¹), and the sweep's own solves for
+// the other landmarks give every other column through the grounding
+// identity (deriveColumn). DiagMC runs one absorbed-walk sweep per
+// column, and DiagSketch extracts every column from a single sketch shared
+// across all K landmarks (the sketch is built once, which is the point).
+// A DiagMC column j draws from its own random stream derived from the root
+// seed, and an exact column depends only on ℓ₁, its landmark and the
+// tolerance, so the portfolio is byte-identical for a fixed seed at any
+// worker count and column j of a K-portfolio equals column j of any larger
+// portfolio with the same landmark prefix. A single-landmark index is the
+// K=1 case. rng drives landmark selection and the randomized modes
+// (DiagMC, DiagSketch, which reject a nil rng); it may be nil for
+// DiagExactCG with deterministic selection.
 func BuildPortfolio(g *graph.Graph, opts PortfolioOptions, rng *randx.RNG) (*Portfolio, error) {
 	if err := requireConnected(g); err != nil {
 		return nil, err
@@ -307,11 +316,24 @@ func BuildPortfolio(g *graph.Graph, opts PortfolioOptions, rng *randx.RNG) (*Por
 			return nil, fmt.Errorf("core: portfolio sketch: %w", err)
 		}
 	}
+	for j := range cols {
+		cols[j] = make([]float64, n)
+	}
+	// The exact sweep at ℓ₁ fills column 0 and keeps x_j = L_{ℓ₁}⁻¹ e_{ℓ_j}
+	// in cols[j] for every other landmark; deriveColumn finishes those.
+	var keep map[int][]float64
+	if opts.Mode == DiagExactCG {
+		keep = make(map[int][]float64, k-1)
+		for j := 1; j < k; j++ {
+			keep[landmarks[j]] = cols[j]
+		}
+	}
 	precs := make([]linalg.Preconditioner, k)
 	modes := make([]PrecondMode, k)
 	for j, v := range landmarks {
 		colStart := time.Now()
-		cols[j] = make([]float64, n)
+		// Every column resolves its own preconditioner: query-time solves
+		// against column j are grounded at ℓ_j.
 		pc, resolved, err := resolvePrecond(g, v, opts.Precond, opts.PrecondSeed+uint64(j)*0x9e3779b97f4a7c15, opts.Metrics)
 		if err != nil {
 			return nil, err
@@ -319,7 +341,9 @@ func BuildPortfolio(g *graph.Graph, opts PortfolioOptions, rng *randx.RNG) (*Por
 		precs[j], modes[j] = pc, resolved
 		switch opts.Mode {
 		case DiagExactCG:
-			if err := buildDiagExact(g, v, cols[j], opts.Tol, workers, pc); err != nil {
+			if j > 0 {
+				deriveColumn(cols[j], cols[0], v)
+			} else if err := buildDiagExact(g, v, cols[0], opts.Tol, workers, pc, keep); err != nil {
 				return nil, err
 			}
 		case DiagMC:
@@ -350,6 +374,27 @@ func BuildPortfolio(g *graph.Graph, opts PortfolioOptions, rng *randx.RNG) (*Por
 		opts.Metrics.IndexBuildTime.Observe(p.BuildTime.Nanoseconds())
 	}
 	return p, nil
+}
+
+// deriveColumn turns x = L_{ℓ₁}⁻¹ e_w, a solution kept from the sweep
+// grounded at the primary landmark ℓ₁, into the column r(·, w) in place by
+// the grounding identity
+//
+//	r(u, w) = D[u] − 2·x[u] + D[w],  D = diag(L_{ℓ₁}⁻¹),
+//
+// with r(w, w) = 0 exactly. D[ℓ₁] = x[ℓ₁] = 0, so the entry at ℓ₁ is
+// D[w] = r(ℓ₁, w). Rounding can leave an entry next to w a few ulps below
+// zero; it is clamped to 0 like every other resistance estimate.
+func deriveColumn(x, d []float64, w int) {
+	dw := d[w]
+	for u := range x {
+		r := d[u] - 2*x[u] + dw
+		if r < 0 {
+			r = 0
+		}
+		x[u] = r
+	}
+	x[w] = 0
 }
 
 // NewPortfolio assembles a portfolio from already-built columns (the

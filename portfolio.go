@@ -43,12 +43,14 @@ type PortfolioBuildOptions struct {
 	// Seed drives all randomness (default 1). For a fixed seed the
 	// portfolio is byte-identical at any worker count.
 	Seed uint64
-	// Workers shards each column build (default GOMAXPROCS).
+	// Workers shards the build: the exact sweep, each DiagMC column or the
+	// sketch (default GOMAXPROCS).
 	Workers int
-	// Precond selects the CG preconditioner per landmark column (default
-	// PrecondJacobi; see PrecondMode). PrecondAuto resolves independently
-	// per landmark; the resolved modes appear in the portfolio's
-	// PrecondModes field and Stats.
+	// Precond selects the CG preconditioner per landmark column for
+	// query-time solves (default PrecondJacobi; see PrecondMode); a
+	// DiagExactCG build's one sweep uses the primary landmark's. PrecondAuto
+	// resolves independently per landmark; the resolved modes appear in the
+	// portfolio's PrecondModes field and Stats.
 	Precond PrecondMode
 	// Metrics, when non-nil, receives one IndexBuilds increment, the total
 	// build time (IndexBuildTime), and per-column ColumnBuildTime
@@ -57,7 +59,8 @@ type PortfolioBuildOptions struct {
 }
 
 // BuildPortfolioIndex selects K landmarks by the cost-law score and builds
-// one diagonal column per landmark. A single-landmark index is the K=1
+// one diagonal column per landmark. A DiagExactCG build costs one
+// grounded sweep (n−1 solves) whatever K is. A single-landmark index is the K=1
 // case (K: 1, or Landmarks: []int{v} to pin the vertex). See
 // PortfolioIndex for the routing model and
 // PortfolioSingleSource/NewPortfolioEstimator/BatchOptions.Portfolio for

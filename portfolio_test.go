@@ -74,6 +74,65 @@ func TestConformancePortfolio(t *testing.T) {
 	}
 }
 
+// TestConformancePortfolioColumns pins every entry of every column of a
+// K=4 exact portfolio against the dense oracle, under Jacobi and auto
+// preconditioning. Columns 1..K−1 are derived from the sweep grounded at
+// the primary landmark, so the test also requires column 0 to be
+// Float64bits-equal to a K=1 build at that landmark, and a K=2 build to
+// equal the first two columns (the landmark-prefix property).
+func TestConformancePortfolioColumns(t *testing.T) {
+	sameBits := func(t *testing.T, what string, got, want []float64) {
+		t.Helper()
+		for u := range want {
+			if math.Float64bits(got[u]) != math.Float64bits(want[u]) {
+				t.Fatalf("%s: entry %d is %v, want %v", what, u, got[u], want[u])
+			}
+		}
+	}
+	for _, c := range conformanceCases(t) {
+		for _, pc := range []PrecondMode{PrecondJacobi, PrecondAuto} {
+			t.Run(fmt.Sprintf("%s/%v", c.Name, pc), func(t *testing.T) {
+				build := func(opts PortfolioBuildOptions) *PortfolioIndex {
+					t.Helper()
+					opts.Mode, opts.Precond, opts.Seed = DiagExactCG, pc, 7
+					p, err := BuildPortfolioIndex(c.G, opts)
+					if err != nil {
+						t.Fatalf("BuildPortfolioIndex: %v", err)
+					}
+					return p
+				}
+				p := build(PortfolioBuildOptions{K: 4})
+				if p.K() != 4 {
+					t.Fatalf("portfolio size %d, want 4", p.K())
+				}
+				for j, l := range p.Landmarks {
+					want, err := c.O.SingleSource(l)
+					if err != nil {
+						t.Fatal(err)
+					}
+					worst, at := 0.0, -1
+					for u, w := range want {
+						d := math.Abs(p.Cols[j][u]-w) / math.Max(1, math.Abs(w))
+						if !(d <= worst) {
+							worst, at = d, u
+						}
+					}
+					if worst > exactTol {
+						t.Errorf("column %d (landmark %d): worst entry %d off by %.3g (tol %.3g)",
+							j, l, at, worst, exactTol)
+					}
+				}
+				one := build(PortfolioBuildOptions{Landmarks: p.Landmarks[:1]})
+				sameBits(t, "column 0 vs K=1 build", p.Cols[0], one.Cols[0])
+				two := build(PortfolioBuildOptions{Landmarks: p.Landmarks[:2]})
+				for j := range two.Cols {
+					sameBits(t, fmt.Sprintf("K=2 column %d vs K=4", j), two.Cols[j], p.Cols[j])
+				}
+			})
+		}
+	}
+}
+
 // TestPortfolioRouteOrder pins the router contract: Route returns every
 // landmark exactly once, sorted by ascending cost r(s,ℓ)+r(t,ℓ).
 func TestPortfolioRouteOrder(t *testing.T) {

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"landmarkrd/internal/serve"
 )
 
 // FuzzProxyBatchBody posts arbitrary bytes as the /v1/batch body to a proxy
@@ -42,7 +44,7 @@ func FuzzProxyBatchBody(f *testing.F) {
 		if rec.Code == http.StatusOK {
 			return
 		}
-		var e errorBody
+		var e serve.ErrorBody
 		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error.Code == "" || e.Error.Message == "" {
 			t.Fatalf("status %d without the error envelope: %s", rec.Code, rec.Body.Bytes())
 		}

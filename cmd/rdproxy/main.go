@@ -25,8 +25,9 @@
 // snapshot) and publishes the new fingerprint fleet-wide, retiring every
 // cached answer of the old version. SIGINT/SIGTERM drains in-flight
 // queries for up to -drain-timeout. Excess concurrent queries beyond
-// -max-inflight get an immediate 429 with a jittered Retry-After, the same
-// protocol the replicas speak.
+// -max-inflight get an immediate 429 with a jittered Retry-After, and a
+// handler panic is answered with the structured 500: the same protocol the
+// replicas speak, from the same package (internal/serve).
 //
 // Resilience (DESIGN.md §14): each replica carries a circuit breaker over
 // a -breaker-window sliding failure window (open shards are skipped until
@@ -39,19 +40,13 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	landmarkrd "landmarkrd"
-	"landmarkrd/internal/debugsrv"
 )
 
 func main() {
@@ -125,42 +120,7 @@ func run(graphPath, addr string, drain time.Duration, debugAddr string, cfg prox
 	}
 	landmarkrd.PublishMetrics("landmarkrd.proxy", p.metrics)
 
-	dbg, err := debugsrv.Start(debugAddr)
-	if err != nil {
-		return err
-	}
-	if a := dbg.Addr(); a != "" {
-		fmt.Fprintf(os.Stderr, "rdproxy: debug endpoint on http://%s/debug/vars\n", a)
-	}
-
-	httpSrv := &http.Server{Addr: addr, Handler: p.routes()}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	go p.healthLoop(ctx)
-
-	// SIGHUP rolls out a new graph version fleet-wide.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
-	go p.watchReload(hup)
-
-	shutdownErr := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		fmt.Fprintln(os.Stderr, "rdproxy: shutting down, draining in-flight queries")
-		drainCtx, cancel := context.WithTimeout(context.Background(), drain)
-		defer cancel()
-		err := httpSrv.Shutdown(drainCtx)
-		if dbgErr := dbg.Shutdown(drainCtx); err == nil {
-			err = dbgErr
-		}
-		shutdownErr <- err
-	}()
-
 	fmt.Fprintf(os.Stderr, "rdproxy: coordinating on %s\n", addr)
-	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return <-shutdownErr
+	// SIGHUP rolls out a new graph version fleet-wide.
+	return p.Run(addr, p.routes(), drain, debugAddr, p.reload, nil, p.healthLoop)
 }

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	landmarkrd "landmarkrd"
+	"landmarkrd/internal/serve"
 )
 
 const corpusGraph = "../../testdata/corpus/grid_14x14.edges"
@@ -463,6 +465,91 @@ func TestBatchFanout(t *testing.T) {
 	}
 }
 
+// TestBatchGoroutinesBounded: a large batch against a replica that holds
+// every request must not park one goroutine per pair — only the lanes in
+// use run, and once released every pair is still answered.
+func TestBatchGoroutinesBounded(t *testing.T) {
+	release := make(chan struct{})
+	arrived := make(chan struct{}, batchLanes)
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
+		select {
+		case <-release:
+		case <-req.Context().Done():
+			return
+		}
+		s, _ := strconv.Atoi(req.URL.Query().Get("s"))
+		tt, _ := strconv.Atoi(req.URL.Query().Get("t"))
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintf(w, `{"s":%d,"t":%d,"value":1,"converged":true,"landmark":0}`, s, tt)
+	}))
+	defer replica.Close()
+	var once sync.Once
+	defer once.Do(func() { close(release) })
+	p, err := newProxyServer(corpusGraph, proxyConfig{
+		replicas: []string{replica.URL}, indexMode: "exact", seed: 7, maxInflight: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := p.routes()
+
+	const n = 2000
+	var sb strings.Builder
+	sb.WriteString(`{"pairs":[`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, `{"s":%d,"t":%d}`, i/195, 1+i%195)
+	}
+	sb.WriteString(`]}`)
+
+	baseline := runtime.NumGoroutine()
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(sb.String())))
+	}()
+	for i := 0; i < batchLanes; i++ {
+		<-arrived
+	}
+	// Every lane is now held at the replica; sample the goroutine count
+	// for a while so any goroutines still being started are seen.
+	peak := 0
+	for i := 0; i < 20; i++ {
+		peak = max(peak, runtime.NumGoroutine())
+		time.Sleep(5 * time.Millisecond)
+	}
+	if extra := peak - baseline; extra > batchLanes+64 {
+		t.Errorf("%d goroutines above baseline while the batch was held, want at most %d", extra, batchLanes+64)
+	}
+	once.Do(func() { close(release) })
+	<-done
+
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch: status %d body %.200s", rec.Code, rec.Body.String())
+	}
+	var resp struct {
+		Results []map[string]any `json:"results"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != n {
+		t.Fatalf("got %d results, want %d", len(resp.Results), n)
+	}
+	for i, r := range resp.Results {
+		if _, failed := r["error"]; failed || r["value"] != 1.0 {
+			t.Fatalf("results[%d] = %v, want an answer", i, r)
+		}
+	}
+}
+
 // TestProxyMethodNotAllowed: the coordinator speaks the same JSON 405 +
 // Allow taxonomy as the replicas.
 func TestProxyMethodNotAllowed(t *testing.T) {
@@ -504,8 +591,8 @@ func TestProxySaturation429(t *testing.T) {
 	h := p.routes()
 
 	// Occupy the single admission slot by hand.
-	p.sem <- struct{}{}
-	defer func() { <-p.sem }()
+	p.TryAcquire()
+	defer p.Release()
 
 	req := httptest.NewRequest(http.MethodGet, "/v1/pair?s=0&t=1", nil)
 	rec := httptest.NewRecorder()
@@ -514,8 +601,8 @@ func TestProxySaturation429(t *testing.T) {
 		t.Fatalf("saturated proxy: status %d, want 429", rec.Code)
 	}
 	after, err := strconv.Atoi(rec.Header().Get("Retry-After"))
-	if err != nil || after < retryAfterMin || after > retryAfterMax {
-		t.Fatalf("Retry-After %q, want int in [%d, %d]", rec.Header().Get("Retry-After"), retryAfterMin, retryAfterMax)
+	if err != nil || after < serve.RetryAfterMin || after > serve.RetryAfterMax {
+		t.Fatalf("Retry-After %q, want int in [%d, %d]", rec.Header().Get("Retry-After"), serve.RetryAfterMin, serve.RetryAfterMax)
 	}
 	var body map[string]any
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
@@ -555,7 +642,7 @@ func TestProxyBadRequests(t *testing.T) {
 	big := `{"pairs":[` + strings.Repeat(`{"s":0,"t":1},`, 1<<17) + `{"s":0,"t":1}]}`
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(big)))
-	var body errorBody
+	var body serve.ErrorBody
 	if err := json.NewDecoder(rec.Body).Decode(&body); err != nil {
 		t.Fatalf("oversized batch: 413 body not structured: %v", err)
 	}

@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	landmarkrd "landmarkrd"
+	"landmarkrd/internal/serve"
 )
 
 // FuzzServerBatchBody posts arbitrary bytes as the body of /v1/batch
@@ -58,28 +61,63 @@ func FuzzServerBatchBody(f *testing.F) {
 		}
 		rec := httptest.NewRecorder()
 		srv.routes().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-		checkFuzzReply(t, path, rec)
+		checkFuzzReply(t, "POST "+path, rec, http.StatusRequestEntityTooLarge)
 	})
 }
 
-// checkFuzzReply fails unless rec is a JSON reply with a status in
-// {200, 400, 413, 422}, and every non-200 carries the structured error
-// envelope.
-func checkFuzzReply(t *testing.T, path string, rec *httptest.ResponseRecorder) {
+// FuzzServerQuery sends arbitrary raw query strings to GET /v1/pair
+// (singleSource false) or GET /v1/singlesource (true) on an exact K=1
+// indexed replica over the corpus grid. Every input must get a JSON reply
+// with a status in {200, 400, 422}. rdproxy's /v1/pair parses its query
+// with the same serve.PairParams, so this target covers both tiers.
+func FuzzServerQuery(f *testing.F) {
+	for _, raw := range []string{
+		"s=0&t=100", "t=5", "s=5", "", "s=-1&t=3", "s=0&t=100000", "s=+5&t=7",
+		"s=99999999999999999999&t=1", "s=1&s=2&t=3&t=4", "s=%31%30&t=%32", "s=%zz&t=1",
+		"s=1;t=2", "s= 1&t=2", "s=0x10&t=1", "s=1&t=2&s=",
+	} {
+		f.Add(false, raw)
+		f.Add(true, raw)
+	}
+	srv, err := newQueryServer(loadTestGraph(f), serverConfig{
+		method: landmarkrd.BiPush, seed: 7, indexMode: "exact", timeout: 30 * time.Second,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := srv.routes()
+	f.Fuzz(func(t *testing.T, singleSource bool, raw string) {
+		path := "/v1/pair"
+		if singleSource {
+			path = "/v1/singlesource"
+		}
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		req.URL.RawQuery = raw
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		checkFuzzReply(t, "GET "+path+"?"+raw, rec)
+	})
+}
+
+// checkFuzzReply fails unless rec is a JSON reply whose status is 200,
+// 400, 422 or one of the extra statuses in also, and every non-200 carries
+// the structured error envelope.
+func checkFuzzReply(t *testing.T, req string, rec *httptest.ResponseRecorder, also ...int) {
 	t.Helper()
-	switch rec.Code {
-	case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity:
+	switch {
+	case rec.Code == http.StatusOK, rec.Code == http.StatusBadRequest, rec.Code == http.StatusUnprocessableEntity:
+	case slices.Contains(also, rec.Code):
 	default:
-		t.Fatalf("POST %s: status %d (%s)", path, rec.Code, rec.Body.Bytes())
+		t.Fatalf("%s: status %d (%s)", req, rec.Code, rec.Body.Bytes())
 	}
 	if !json.Valid(rec.Body.Bytes()) {
-		t.Fatalf("POST %s: status %d with a non-JSON body %q", path, rec.Code, rec.Body.Bytes())
+		t.Fatalf("%s: status %d with a non-JSON body %q", req, rec.Code, rec.Body.Bytes())
 	}
 	if rec.Code == http.StatusOK {
 		return
 	}
-	var e errorBody
+	var e serve.ErrorBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error.Code == "" || e.Error.Message == "" {
-		t.Fatalf("POST %s: status %d without the error envelope: %s", path, rec.Code, rec.Body.Bytes())
+		t.Fatalf("%s: status %d without the error envelope: %s", req, rec.Code, rec.Body.Bytes())
 	}
 }

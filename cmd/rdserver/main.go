@@ -47,17 +47,12 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	landmarkrd "landmarkrd"
-	"landmarkrd/internal/debugsrv"
 )
 
 func main() {
@@ -151,48 +146,15 @@ func run(cfg config) error {
 	landmarkrd.PublishMetrics("landmarkrd.engine", srv.metrics)
 	landmarkrd.PublishMetrics("landmarkrd.solver", landmarkrd.SolverMetrics())
 
-	dbg, err := debugsrv.Start(cfg.debugAddr)
-	if err != nil {
-		return err
-	}
-	if addr := dbg.Addr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "rdserver: debug endpoint on http://%s/debug/vars\n", addr)
-	}
-
-	httpSrv := &http.Server{Addr: cfg.addr, Handler: srv.routes()}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// SIGHUP hot-reloads the index snapshot without dropping traffic.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
-	go srv.watchReload(hup)
-
 	// Optional periodic re-base of streamed updates, alongside the
 	// -max-patches count trigger.
+	var loops []func(context.Context)
 	if cfg.server.rebaseInt > 0 {
-		go srv.rebaseLoop(ctx, cfg.server.rebaseInt)
+		loops = append(loops, srv.rebaseLoop)
 	}
-
-	shutdownErr := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		fmt.Fprintln(os.Stderr, "rdserver: shutting down, draining in-flight queries")
-		drainCtx, cancel := context.WithTimeout(context.Background(), cfg.drain)
-		defer cancel()
-		err := httpSrv.Shutdown(drainCtx)
-		srv.live.Quiesce() // let an in-flight background re-base finish
-		if dbgErr := dbg.Shutdown(drainCtx); err == nil {
-			err = dbgErr
-		}
-		shutdownErr <- err
-	}()
-
 	fmt.Fprintf(os.Stderr, "rdserver: serving %s queries (landmark %d) on %s\n",
 		method, srv.eng().Landmark(), cfg.addr)
-	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return <-shutdownErr
+	// SIGHUP hot-reloads the index snapshot without dropping traffic; on
+	// shutdown an in-flight background re-base finishes after the drain.
+	return srv.Run(cfg.addr, srv.routes(), cfg.drain, cfg.debugAddr, srv.reload, srv.live.Quiesce, loops...)
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	landmarkrd "landmarkrd"
+	"landmarkrd/internal/serve"
 )
 
 func postUpdate(t *testing.T, url, body string) (*http.Response, []byte) {
@@ -59,7 +60,7 @@ func TestUpdateEndpointTable(t *testing.T) {
 				t.Fatalf("status %d, want %d (body %s)", resp.StatusCode, tc.status, raw)
 			}
 			if tc.code != "" {
-				var body errorBody
+				var body serve.ErrorBody
 				if err := json.Unmarshal(raw, &body); err != nil {
 					t.Fatalf("error response not structured: %v (%s)", err, raw)
 				}
@@ -130,7 +131,7 @@ func TestUpdateDisconnectingRejected(t *testing.T) {
 			if resp.StatusCode != http.StatusUnprocessableEntity {
 				t.Fatalf("bridge removal: status %d, want 422 (body %s)", resp.StatusCode, raw)
 			}
-			var body errorBody
+			var body serve.ErrorBody
 			if err := json.Unmarshal(raw, &body); err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +158,7 @@ func TestUpdateDuringReloadRejected(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("update while not ready: status %d, want 503 (body %s)", resp.StatusCode, raw)
 	}
-	var body errorBody
+	var body serve.ErrorBody
 	if err := json.Unmarshal(raw, &body); err != nil {
 		t.Fatal(err)
 	}

@@ -72,9 +72,10 @@ type entry struct {
 
 // flight is one in-progress compute other callers can wait on.
 type flight struct {
-	done chan struct{}
-	val  float64
-	err  error
+	done   chan struct{}
+	val    float64
+	stored bool // the value went into the cache, so waiters may share it
+	err    error
 }
 
 type shard struct {
@@ -188,23 +189,36 @@ func (s *shard) storeLocked(c *Cache, k Key, v float64) {
 // an error. Errors are never cached; every waiter of a failed flight gets
 // the leader's error and the next call recomputes.
 //
+// Only a stored value is shared. A waiter of a flight that returned an
+// unstored value and no error starts Do over: it reads the cache, waits on
+// a newer flight, or runs fn itself (Miss) — so a caller whose answer is
+// more than the bare value (a degraded flag, an error bound) never gets
+// the value alone.
+//
 // ctx bounds only the wait of a Shared caller — fn itself is responsible
 // for honoring its own context. A Shared caller whose ctx expires returns
 // ctx's error without disturbing the in-progress compute.
 func (c *Cache) Do(ctx context.Context, k Key, fn func() (float64, bool, error)) (float64, Outcome, error) {
 	s := c.shardFor(k)
-	s.mu.Lock()
-	if el, ok := s.entries[k]; ok {
-		s.order.MoveToFront(el)
-		v := el.Value.(*entry).val
-		s.mu.Unlock()
-		c.metrics.CacheHits.Inc()
-		return v, Hit, nil
-	}
-	if fl, ok := s.flights[k]; ok {
+	for {
+		s.mu.Lock()
+		if el, ok := s.entries[k]; ok {
+			s.order.MoveToFront(el)
+			v := el.Value.(*entry).val
+			s.mu.Unlock()
+			c.metrics.CacheHits.Inc()
+			return v, Hit, nil
+		}
+		fl, ok := s.flights[k]
+		if !ok {
+			break
+		}
 		s.mu.Unlock()
 		select {
 		case <-fl.done:
+			if fl.err == nil && !fl.stored {
+				continue
+			}
 			c.metrics.CacheShared.Inc()
 			return fl.val, Shared, fl.err
 		case <-ctx.Done():
@@ -217,9 +231,10 @@ func (c *Cache) Do(ctx context.Context, k Key, fn func() (float64, bool, error))
 
 	v, store, err := fn()
 	fl.val, fl.err = v, err
+	fl.stored = store && err == nil
 
 	s.mu.Lock()
-	if store && err == nil {
+	if fl.stored {
 		s.storeLocked(c, k, v)
 	}
 	delete(s.flights, k)

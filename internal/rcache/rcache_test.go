@@ -91,6 +91,75 @@ func TestUncacheableNotStored(t *testing.T) {
 	}
 }
 
+// waitSpy is a context whose Done method reports its first call: Do calls
+// it only in the select of a caller parked on another caller's flight.
+type waitSpy struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (w *waitSpy) Done() <-chan struct{} {
+	w.once.Do(func() { close(w.waiting) })
+	return w.Context.Done()
+}
+
+// TestUnstoredFlightWaiterRecomputes: a waiter of a flight whose leader
+// returned an unstored value (store=false, e.g. a degraded answer) must not
+// adopt the bare value, which would lose what made it uncacheable. It runs
+// fn itself and reports Miss, not Shared.
+func TestUnstoredFlightWaiterRecomputes(t *testing.T) {
+	m := &obs.Metrics{}
+	c := New(16, m)
+	key := NewKey(1, 1, 2)
+
+	leading := make(chan struct{})
+	release := make(chan struct{})
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		v, out, err := c.Do(context.Background(), key, func() (float64, bool, error) {
+			close(leading)
+			<-release
+			return 9, false, nil
+		})
+		if v != 9 || out != Miss || err != nil {
+			t.Errorf("leader Do = (%g, %v, %v), want (9, miss, nil)", v, out, err)
+		}
+	}()
+	<-leading
+
+	spy := &waitSpy{Context: context.Background(), waiting: make(chan struct{})}
+	type result struct {
+		v   float64
+		out Outcome
+		err error
+	}
+	var calls atomic.Int64
+	waiter := make(chan result, 1)
+	go func() {
+		v, out, err := c.Do(spy, key, func() (float64, bool, error) {
+			calls.Add(1)
+			return 4, false, nil
+		})
+		waiter <- result{v, out, err}
+	}()
+	<-spy.waiting // the waiter is parked on the leader's flight
+	close(release)
+	<-leaderDone
+
+	got := <-waiter
+	if got.v != 4 || got.out != Miss || got.err != nil {
+		t.Fatalf("waiter Do = (%g, %v, %v), want its own (4, miss, nil)", got.v, got.out, got.err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("waiter ran fn %d times, want 1", n)
+	}
+	if m.CacheShared.Load() != 0 || m.CacheMisses.Load() != 2 {
+		t.Errorf("counters shared=%d misses=%d, want 0/2", m.CacheShared.Load(), m.CacheMisses.Load())
+	}
+}
+
 func TestLRUEviction(t *testing.T) {
 	m := &obs.Metrics{}
 	// Capacity 16 over 16 shards = 1 entry per shard: inserting two keys of

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -51,7 +52,6 @@ type proxyConfig struct {
 	retryRatio     float64       // budget tokens deposited per admitted query (0 = none)
 	breakerWindow  time.Duration // per-replica breaker failure-rate window (0 disables breakers)
 	healthHyst     int           // consecutive contrary probes before a replica flips up/down (0 = 1)
-	minAttempt     time.Duration // remaining deadline required to start another attempt (0 = 2ms)
 	now            func() time.Time
 }
 
@@ -392,19 +392,19 @@ var errRetryBudgetExhausted = errors.New("rdproxy: retry budget exhausted")
 // small for another downstream attempt, so the owner-walk stopped early.
 var errDeadlineBudget = errors.New("rdproxy: remaining deadline too small for another attempt")
 
-// errHedgeLost is the cancellation cause attached to attempts abandoned
-// because another replica answered first; their breakers see Drop, never
-// a failure.
+// errHedgeLost is the cancellation cause attached to uncapped attempts
+// still running when the walk returns.
 var errHedgeLost = errors.New("rdproxy: hedged attempt lost the race")
 
-// errAttemptTimeout is the cancellation cause of the per-attempt timeout,
-// distinguishing a slow/blackholed replica (breaker failure, failover)
-// from the client's own deadline (no verdict, stop walking).
+// errAttemptTimeout is the cancellation cause of the per-attempt timeout.
 var errAttemptTimeout = errors.New("rdproxy: per-attempt timeout")
 
-// forward sends one pair query to a single replica and parses the reply.
-// A 429 or 5xx (or a transport error) is a failover signal, not a final
-// answer; 4xx request errors are relayed to the client as-is.
+// minAttempt is the remaining request deadline the owner walk needs to
+// start another downstream attempt; with less left it stops with a 504
+// instead of launching a doomed request.
+const minAttempt = 2 * time.Millisecond
+
+// replicaError is a replica's non-200 answer to a forwarded pair query.
 type replicaError struct {
 	status     int
 	body       string
@@ -426,6 +426,8 @@ type unavailableError struct {
 func (e *unavailableError) Error() string { return e.cause.Error() }
 func (e *unavailableError) Unwrap() error { return e.cause }
 
+// forward sends one pair query to a single replica and parses the reply;
+// a non-200 answer comes back as a *replicaError.
 func (p *proxyServer) forward(ctx context.Context, base string, s, t int) (pairReply, error) {
 	u := fmt.Sprintf("%s/v1/pair?s=%d&t=%d", base, s, t)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
@@ -449,286 +451,277 @@ func (p *proxyServer) forward(ctx context.Context, base string, s, t int) (pairR
 	return out, nil
 }
 
-// failoverWorthy reports whether a forward failure should be retried on
-// the next-cheapest owner (down/saturated/broken shard) rather than
-// relayed to the client (the client's own request was bad). cause is the
-// attempt context's cancellation cause: a per-attempt timeout is a shard
-// failure even though Go 1.22's net/http surfaces it as a bare
-// DeadlineExceeded rather than propagating the cause.
-func failoverWorthy(err, cause error) bool {
-	var re *replicaError
-	if errors.As(err, &re) {
-		return re.status == http.StatusTooManyRequests || re.status >= 500
-	}
-	if errors.Is(cause, errAttemptTimeout) {
-		return true
-	}
-	// Transport errors (refused, reset, timeout, torn body) are shard
-	// failures — unless the client's own context expired.
-	return !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled)
-}
-
-// attemptOutcome is one downstream attempt's result, delivered to the
-// routePair select loop by the attempt goroutine.
+// attemptOutcome is how one downstream attempt ended. The driver sets
+// timedOut, lost and clientErr from the contexts it made, so no verdict
+// depends on how net/http wraps a cancellation.
 type attemptOutcome struct {
-	reply  pairReply
-	err    error
-	cause  error // attempt context's cancellation cause at completion
 	target cluster.Target
 	hedged bool // launched by the hedge timer, not a failover
+	reply  pairReply
+	err    error
+	// timedOut: the per-attempt timeout cut it; lost: it was still
+	// running when its walk returned.
+	timedOut, lost bool
+	clientErr      error // the client's context error when it ended, if any
 }
 
-// routePair walks the cost-ordered owner list for (s,t) with the full
-// resilience stack:
+// verdict is what one attempt outcome means for its replica's breaker
+// (drop: no verdict; otherwise a success or a failure) and for the owner
+// walk, which either fails over to the next owner or ends with the outcome.
+type verdict struct{ ok, drop, failover bool }
+
+// classify is the one outcome table the attempt's breaker and the walk
+// both read; the first matching row wins:
 //
-//   - unready replicas and replicas whose circuit breaker is open are
-//     skipped up front (one ShardFailovers each, no downstream load);
-//   - each launched attempt gets its own per-attempt timeout (when
-//     configured), so a blackholed shard turns into a breaker failure
-//     and a failover instead of burning the whole request deadline;
-//   - after hedgeAfter with no answer, the same query is fired at the
-//     next-cheapest healthy owner; first success wins. Losers without a
-//     per-attempt cap are context-cancelled with cause errHedgeLost
-//     (breakers see Drop, never a failure); losers WITH a cap run on to
-//     their own deadline and record a genuine verdict, so a blackholed
-//     cheapest owner still trips its breaker instead of hiding behind
-//     every lost race;
-//   - every attempt beyond the query's first withdraws one token from
-//     the global retry budget — an empty bucket stops the walk so
-//     failover and hedging can never multiply offered load beyond
-//     queries + deposited tokens;
-//   - before each launch the remaining context deadline must cover
-//     minAttempt, otherwise the walk stops (504) instead of starting a
-//     doomed attempt;
-//   - the largest downstream Retry-After rides the terminal error.
-func (p *proxyServer) routePair(ctx context.Context, st *proxyState, s, t int) (pairReply, int, error) {
-	targets := st.router.Route(st.fp, s, t)
-	p.budget.Deposit()
-
-	minAttempt := p.cfg.minAttempt
-	if minAttempt <= 0 {
-		minAttempt = 2 * time.Millisecond
+//	outcome                               breaker  walk
+//	answered 200                          ok       ends with the answer
+//	still running when its walk returned  drop     (already over)
+//	cut by -attempt-timeout               fail     fails over unless the client left
+//	ended after the client left           drop     ends with the client's error
+//	5xx or transport error                fail     fails over
+//	429: the replica shed load            drop     fails over
+//	other 4xx: the request was bad        ok       ends with the error
+func classify(o attemptOutcome) verdict {
+	var re *replicaError
+	switch {
+	case o.err == nil:
+		return verdict{ok: true}
+	case o.lost:
+		return verdict{drop: true}
+	case o.timedOut:
+		return verdict{failover: o.clientErr == nil}
+	case o.clientErr != nil:
+		return verdict{drop: true}
+	case !errors.As(o.err, &re) || re.status >= 500:
+		return verdict{failover: true}
+	case re.status == http.StatusTooManyRequests:
+		return verdict{drop: true, failover: true}
 	}
+	return verdict{ok: true}
+}
 
-	// cancels reaps only uncapped losers when the walk returns; capped
-	// attempts self-reap at their own deadline (see start) so breakers
-	// still get real verdicts on attempts abandoned by a won race.
-	results := make(chan attemptOutcome, len(targets))
-	cancels := make([]context.CancelCauseFunc, 0, len(targets))
-	defer func() {
-		for _, cancel := range cancels {
-			cancel(errHedgeLost)
-		}
-	}()
-
-	var (
-		failovers      int
-		launched       int
-		pending        int
-		next           int // next candidate index in targets
-		lastErr        error
-		maxRetryAfter  int
-		budgetDenied   bool
-		deadlineDenied bool
-	)
-
-	// start launches the next launchable candidate, charging the retry
-	// budget for every launch after the first. It reports whether an
-	// attempt went downstream; on false the walk is over for its reason
-	// (budgetDenied / deadlineDenied / exhausted list).
-	start := func(hedged bool) bool {
-		for next < len(targets) {
-			tg := targets[next]
-			next++
-			r := p.replicaByName(tg.Member)
-			if r == nil || !r.healthy.Load() {
-				failovers++
-				p.metrics.ShardFailovers.Inc()
-				continue
-			}
-			if dl, ok := ctx.Deadline(); ok && dl.Sub(p.cfg.now()) < minAttempt {
-				deadlineDenied = true
-				next--
-				return false
-			}
-			if r.breaker != nil && !r.breaker.Allow() {
-				failovers++
-				p.metrics.ShardFailovers.Inc()
-				continue
-			}
-			if launched > 0 && !p.budget.Withdraw() {
-				p.metrics.RetryBudgetExhausted.Inc()
-				if r.breaker != nil {
-					r.breaker.Drop()
-				}
-				budgetDenied = true
-				next--
-				return false
-			}
-			launched++
-			pending++
-			// A concurrent query's Deposit may have refilled the bucket
-			// since a hedge was denied; this walk is no longer
-			// budget-limited, so don't let finish() blame the budget.
-			budgetDenied = false
-			var actx context.Context
-			var cancel context.CancelCauseFunc
-			if p.cfg.attemptTimeout > 0 {
-				// Capped attempts are detached from the walk's context and
-				// bounded solely by their own deadline: an attempt
-				// abandoned because the race was decided (or the client
-				// left) runs on for at most attemptTimeout and records a
-				// genuine breaker verdict — success if the replica was
-				// merely slower than the winner, failure if it never
-				// answered by the cap. Reaping losers instantly would
-				// leave a blackholed cheapest owner with no verdicts at
-				// all, since every race against it is over long before
-				// its timeout. The timeout is relative (WithTimeoutCause)
-				// because context deadlines live on the wall clock — an
-				// injected test clock cannot drive them.
-				actx, cancel = context.WithCancelCause(context.WithoutCancel(ctx))
-				var tcancel context.CancelFunc
-				actx, tcancel = context.WithTimeoutCause(actx,
-					p.cfg.attemptTimeout, errAttemptTimeout)
-				// Cancel the cause-carrying parent first: if tcancel ran
-				// first the attempt context's cause would be the deadline
-				// context's own context.Canceled, not the caller's cause.
-				inner := cancel
-				cancel = func(cause error) { inner(cause); tcancel() }
-			} else {
-				actx, cancel = context.WithCancelCause(ctx)
-				cancels = append(cancels, cancel)
-			}
-			go func(tg cluster.Target, r *replica, hedged bool, actx context.Context, release context.CancelCauseFunc) {
-				defer release(nil)
-				reply, err := p.forward(actx, tg.Member, s, t)
-				cause := context.Cause(actx)
-				if r.breaker != nil {
-					var re *replicaError
-					switch {
-					case err == nil:
-						r.breaker.Record(true)
-					case errors.Is(cause, errHedgeLost):
-						// Abandoned race: no verdict on the replica.
-						r.breaker.Drop()
-					case errors.Is(cause, errAttemptTimeout):
-						r.breaker.Record(false)
-					case ctx.Err() != nil:
-						// The client's own deadline/cancel killed the
-						// attempt mid-flight: no verdict.
-						r.breaker.Drop()
-					case errors.As(err, &re) && re.status < 500 && re.status != http.StatusTooManyRequests:
-						// The replica answered, just not with a result
-						// we relay as success: the shard itself is fine.
-						r.breaker.Record(true)
-					default:
-						r.breaker.Record(false)
-					}
-				}
-				results <- attemptOutcome{reply: reply, err: err, cause: cause, target: tg, hedged: hedged}
-			}(tg, r, hedged, actx, cancel)
-			return true
-		}
-		return false
+// record applies the verdict to b (nil when breakers are off).
+func (v verdict) record(b *breaker.Breaker) {
+	switch {
+	case b == nil:
+	case v.drop:
+		b.Drop()
+	default:
+		b.Record(v.ok)
 	}
+}
 
-	finish := func() (pairReply, int, error) {
+// event is what the walk hears: an attempt's outcome, the hedge timer
+// firing, or the client leaving (gone holds its context error).
+type event struct {
+	out   attemptOutcome
+	hedge bool
+	gone  error
+}
+
+// actionKind is what the walk asks of its driver.
+type actionKind int8
+
+const (
+	actLaunch   actionKind = iota // start an attempt at target
+	actArmHedge                   // start the hedge timer
+	actFinish                     // return reply, err to the client
+)
+
+type action struct {
+	kind   actionKind
+	target cluster.Target // actLaunch
+	hedged bool           // actLaunch
+	reply  pairReply      // actFinish
+	err    error          // actFinish
+}
+
+// walk is one pair's owner walk as a step machine over the cost-ordered
+// owner list. It owns no goroutine, timer or HTTP client: advance and step
+// read the admission checks (health, breaker, retry budget, deadline on
+// cfg.now) and return actions for a driver to carry out, so routePair's
+// select loop and a simulator on a virtual clock run the same walk.
+//
+//   - Unready replicas and replicas whose breaker is open are skipped
+//     (one ShardFailovers each, no downstream load).
+//   - Every launch after the first withdraws a retry-budget token; an
+//     empty bucket stops the walk, so downstream attempts never exceed
+//     queries plus deposited tokens.
+//   - A launch needs minAttempt of deadline left, else the walk stops
+//     with a 504.
+//   - While an attempt is out and an owner remains, the hedge timer is
+//     armed; its firing launches one hedged attempt at the next owner.
+//   - The largest downstream Retry-After rides the terminal error.
+type walk struct {
+	p        *proxyServer
+	s, t     int
+	targets  []cluster.Target
+	deadline time.Time // the client's; zero when it has none
+
+	next, launched, pending, failovers int
+	hedgeArmed                         bool
+	// blocked is why the latest admission launched nothing:
+	// errRetryBudgetExhausted, errDeadlineBudget or nil.
+	blocked, lastErr error
+	maxRetryAfter    int
+	buf              [2]action // backs the actions one call returns
+}
+
+// step advances the walk by one event.
+func (w *walk) step(ev event) []action {
+	switch {
+	case ev.gone != nil:
+		return append(w.buf[:0], action{kind: actFinish, err: ev.gone})
+	case ev.hedge:
+		w.hedgeArmed = false
+		return w.advance(true)
+	}
+	w.pending--
+	o := ev.out
+	switch v := classify(o); {
+	case o.err == nil:
+		w.p.metrics.ShardRouted.Inc()
+		if o.hedged {
+			w.p.metrics.HedgeWins.Inc()
+		}
+		o.reply.Replica, o.reply.Failovers = o.target.Member, w.failovers
+		return append(w.buf[:0], action{kind: actFinish, reply: o.reply})
+	case !v.failover:
+		return append(w.buf[:0], action{kind: actFinish, err: cmp.Or(o.clientErr, o.err)})
+	}
+	w.failovers++
+	w.p.metrics.ShardFailovers.Inc()
+	w.lastErr = o.err
+	var re *replicaError
+	if errors.As(o.err, &re) && re.retryAfter > w.maxRetryAfter {
+		w.maxRetryAfter = re.retryAfter
+	}
+	return w.advance(false)
+}
+
+// advance launches the next owner that passes admission; unready
+// replicas and open breakers are skipped, while a short deadline or an
+// empty budget blocks the walk. It then finishes the walk if nothing is
+// out, or arms the hedge timer if it is off and an owner is left to race.
+// The walk starts with advance(false).
+func (w *walk) advance(hedged bool) []action {
+	acts := w.buf[:0]
+	w.blocked = nil
+owners:
+	for ; w.next < len(w.targets); w.next++ {
+		tg := w.targets[w.next]
+		r := w.p.replicaByName(tg.Member)
 		switch {
-		case ctx.Err() != nil:
-			return pairReply{}, failovers, ctx.Err()
-		case budgetDenied:
-			err := error(errRetryBudgetExhausted)
-			if lastErr != nil {
-				err = fmt.Errorf("%w (last: %v)", errRetryBudgetExhausted, lastErr)
-			}
-			return pairReply{}, failovers, &unavailableError{cause: err, retryAfter: maxRetryAfter}
-		case deadlineDenied:
-			remaining := time.Duration(0)
-			if dl, ok := ctx.Deadline(); ok {
-				remaining = dl.Sub(p.cfg.now())
-			}
-			p.Logger.Printf("pair (%d,%d): stopping failover after %d/%d attempts, %v of deadline left (last: %v)",
-				s, t, launched, len(targets), remaining.Round(time.Millisecond), lastErr)
-			return pairReply{}, failovers, errDeadlineBudget
-		case lastErr != nil:
-			return pairReply{}, failovers,
-				&unavailableError{cause: fmt.Errorf("%w (last: %v)", errAllShardsDown, lastErr), retryAfter: maxRetryAfter}
+		case r == nil || !r.healthy.Load():
+		case !w.deadline.IsZero() && w.deadline.Sub(w.p.cfg.now()) < minAttempt:
+			w.blocked = errDeadlineBudget
+			break owners
+		case r.breaker != nil && !r.breaker.Allow():
+		case w.launched > 0 && !w.p.budget.Withdraw():
+			w.p.metrics.RetryBudgetExhausted.Inc()
+			verdict{drop: true}.record(r.breaker) // hand back a half-open probe slot
+			w.blocked = errRetryBudgetExhausted
+			break owners
 		default:
-			return pairReply{}, failovers, errAllShardsDown
+			if hedged {
+				w.p.metrics.HedgedRequests.Inc()
+			}
+			w.next++
+			w.launched++
+			w.pending++
+			acts = append(acts, action{kind: actLaunch, target: tg, hedged: hedged})
+			break owners
 		}
+		w.failovers++
+		w.p.metrics.ShardFailovers.Inc()
 	}
-
-	if !start(false) {
-		return finish()
+	switch {
+	case w.pending == 0:
+		return append(acts, action{kind: actFinish, err: w.failure()})
+	case w.p.cfg.hedgeAfter > 0 && !w.hedgeArmed && w.next < len(w.targets) && w.blocked == nil:
+		w.hedgeArmed = true
+		acts = append(acts, action{kind: actArmHedge})
 	}
+	return acts
+}
 
-	// The hedge timer arms whenever an attempt is outstanding and another
-	// candidate remains; each firing launches one hedged request at the
-	// next-cheapest healthy owner (budget permitting) and re-arms, so a
-	// chain of slow owners is raced pairwise down the cost order.
+// failure is the walk's terminal error when no owner answered.
+func (w *walk) failure() error {
+	err := cmp.Or(w.blocked, errAllShardsDown)
+	switch {
+	case err == errDeadlineBudget:
+		w.p.Logger.Printf("pair (%d,%d): stopping failover after %d/%d attempts, %v of deadline left (last: %v)",
+			w.s, w.t, w.launched, len(w.targets), w.deadline.Sub(w.p.cfg.now()).Round(time.Millisecond), w.lastErr)
+		return err
+	case w.lastErr != nil:
+		err = fmt.Errorf("%w (last: %v)", err, w.lastErr)
+	}
+	return &unavailableError{cause: err, retryAfter: w.maxRetryAfter}
+}
+
+// routePair runs the owner walk for (s,t) on goroutines and real hedge
+// timers. Without -attempt-timeout an attempt runs under the walk's own
+// context, cancelled with errHedgeLost when the walk returns. With it, an
+// attempt is detached from the client and bounded only by its timeout, so
+// one abandoned because the race was decided (or the client left) still
+// records a genuine breaker verdict: success if the replica was merely
+// slower than the winner, failure if it never answered by the cap.
+// Reaping such losers at once would leave a blackholed cheapest owner with
+// no verdicts at all, since every race against it is over long before its
+// timeout. The timeout is relative because context deadlines live on the
+// wall clock, which an injected test clock cannot drive.
+func (p *proxyServer) routePair(ctx context.Context, st *proxyState, s, t int) (pairReply, error) {
+	p.budget.Deposit()
+	w := &walk{p: p, s: s, t: t, targets: st.router.Route(st.fp, s, t)}
+	w.deadline, _ = ctx.Deadline()
+	wctx, reap := context.WithCancelCause(ctx)
+	defer reap(errHedgeLost)
+	// One slot per owner, the most attempts a walk launches, so an attempt
+	// that ends after its walk returned never blocks.
+	results := make(chan attemptOutcome, len(w.targets))
 	var hedgeC <-chan time.Time
-	var hedgeTimer *time.Timer
-	defer func() {
-		if hedgeTimer != nil {
-			hedgeTimer.Stop()
+	for acts := w.advance(false); ; {
+		for _, a := range acts {
+			switch a.kind {
+			case actLaunch:
+				go p.attempt(ctx, wctx, a, s, t, results)
+			case actArmHedge:
+				// The walk re-arms only after a firing, so each timer
+				// fires at most once; at most one per owner is stopped here.
+				hedge := time.NewTimer(p.cfg.hedgeAfter)
+				defer hedge.Stop()
+				hedgeC = hedge.C
+			case actFinish:
+				return a.reply, a.err
+			}
 		}
-	}()
-	armHedge := func() {
-		if p.cfg.hedgeAfter <= 0 || hedgeC != nil || next >= len(targets) || budgetDenied || deadlineDenied {
-			return
-		}
-		if hedgeTimer == nil {
-			hedgeTimer = time.NewTimer(p.cfg.hedgeAfter)
-		} else {
-			hedgeTimer.Reset(p.cfg.hedgeAfter)
-		}
-		hedgeC = hedgeTimer.C
-	}
-	armHedge()
-
-	for pending > 0 {
 		select {
-		case out := <-results:
-			pending--
-			if out.err == nil {
-				p.metrics.ShardRouted.Inc()
-				if out.hedged {
-					p.metrics.HedgeWins.Inc()
-				}
-				out.reply.Replica = out.target.Member
-				out.reply.Failovers = failovers
-				return out.reply, failovers, nil
-			}
-			if ctx.Err() != nil {
-				// The client is gone; drain nothing further.
-				if pending == 0 {
-					return finish()
-				}
-				continue
-			}
-			if !failoverWorthy(out.err, out.cause) {
-				return pairReply{}, failovers, out.err
-			}
-			failovers++
-			p.metrics.ShardFailovers.Inc()
-			lastErr = out.err
-			var re *replicaError
-			if errors.As(out.err, &re) && re.retryAfter > maxRetryAfter {
-				maxRetryAfter = re.retryAfter
-			}
-			start(false)
-			armHedge()
+		case o := <-results:
+			// The client may have left after the attempt ended.
+			o.clientErr = cmp.Or(o.clientErr, ctx.Err())
+			acts = w.step(event{out: o})
 		case <-hedgeC:
-			hedgeC = nil
-			if start(true) {
-				p.metrics.HedgedRequests.Inc()
-				armHedge()
-			}
+			acts = w.step(event{hedge: true})
 		case <-ctx.Done():
-			return finish()
+			acts = w.step(event{gone: ctx.Err()})
 		}
 	}
-	return finish()
+}
+
+// attempt runs one launched attempt, records its breaker verdict (also
+// when its walk has already returned) and delivers its outcome.
+func (p *proxyServer) attempt(ctx, wctx context.Context, a action, s, t int, results chan<- attemptOutcome) {
+	actx, release := wctx, context.CancelFunc(func() {})
+	if p.cfg.attemptTimeout > 0 {
+		actx, release = context.WithTimeoutCause(context.WithoutCancel(ctx), p.cfg.attemptTimeout, errAttemptTimeout)
+	}
+	defer release()
+	reply, err := p.forward(actx, a.target.Member, s, t)
+	cause := context.Cause(actx)
+	o := attemptOutcome{target: a.target, hedged: a.hedged, reply: reply, err: err,
+		timedOut: errors.Is(cause, errAttemptTimeout), lost: errors.Is(cause, errHedgeLost), clientErr: ctx.Err()}
+	classify(o).record(p.replicaByName(a.target.Member).breaker)
+	results <- o
 }
 
 // solvePair answers one pair through the cache (when configured) and the
@@ -737,14 +730,13 @@ func (p *proxyServer) routePair(ctx context.Context, st *proxyState, s, t int) (
 // replies are stored or shared; a waiter on any other reply routes its own.
 func (p *proxyServer) solvePair(ctx context.Context, st *proxyState, s, t int) (pairReply, error) {
 	if p.cache == nil {
-		reply, _, err := p.routePair(ctx, st, s, t)
-		return reply, err
+		return p.routePair(ctx, st, s, t)
 	}
 	key := rcache.NewKey(st.fp, s, t)
 	var full pairReply
 	var have bool
 	v, out, err := p.cache.Do(ctx, key, func() (float64, bool, error) {
-		reply, _, err := p.routePair(ctx, st, s, t)
+		reply, err := p.routePair(ctx, st, s, t)
 		if err != nil {
 			return 0, false, err
 		}
@@ -843,19 +835,21 @@ func (p *proxyServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// as a whole fails only on request-level problems (bad JSON, bad
 	// vertices), checked above.
 	entries := make([]any, len(pairs))
-	failed := 0
+	failed, retryAfter := 0, 0
 	for i, q := range pairs {
 		if errs[i] == nil {
 			entries[i] = results[i]
 			continue
 		}
 		failed++
+		retryAfter = max(retryAfter, downstreamRetryAfter(errs[i]))
 		_, code := proxyErrorStatus(errs[i])
 		entries[i] = batchEntryError{S: q.S, T: q.T, ErrorBody: serve.Envelope(code, errs[i].Error())}
 	}
 	if failed > 0 {
 		p.Logger.Printf("batch: %d/%d pairs failed, returning per-pair envelopes", failed, len(pairs))
 	}
+	setRetryAfter(w, retryAfter)
 	p.WriteJSON(w, struct {
 		GraphVersion uint64 `json:"graph_version"`
 		Results      []any  `json:"results"`
@@ -897,25 +891,32 @@ func proxyErrorStatus(err error) (int, string) {
 	}
 }
 
-// retryAfterHint picks the Retry-After seconds for a terminal routing
-// failure: the largest value any downstream replica suggested, else (for
-// the fail-fast budget 503, which must always carry a hint) the same
-// jittered band the admission gate uses.
-func (p *proxyServer) retryAfterHint(err error) int {
+// downstreamRetryAfter is the largest Retry-After any replica suggested
+// during a failed walk, or 0.
+func downstreamRetryAfter(err error) int {
 	var ue *unavailableError
-	if errors.As(err, &ue) && ue.retryAfter > 0 {
+	if errors.As(err, &ue) {
 		return ue.retryAfter
-	}
-	if errors.Is(err, errRetryBudgetExhausted) {
-		return p.RetryAfter()
 	}
 	return 0
 }
 
+// setRetryAfter sets the Retry-After header when there is a hint.
+func setRetryAfter(w http.ResponseWriter, secs int) {
+	if secs > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(secs))
+	}
+}
+
+// writeProxyError writes a terminal routing failure. Its Retry-After is
+// the largest downstream hint, else, for the fail-fast budget 503, which
+// must always carry one, the jittered band the admission gate uses.
 func (p *proxyServer) writeProxyError(w http.ResponseWriter, err error) {
 	status, code := proxyErrorStatus(err)
-	if ra := p.retryAfterHint(err); ra > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(ra))
+	ra := downstreamRetryAfter(err)
+	if ra == 0 && errors.Is(err, errRetryBudgetExhausted) {
+		ra = p.RetryAfter()
 	}
+	setRetryAfter(w, ra)
 	p.WriteError(w, status, code, err.Error())
 }

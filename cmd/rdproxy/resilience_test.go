@@ -227,11 +227,19 @@ func TestRetryBudgetFailFast(t *testing.T) {
 
 // TestDeadlineAwareFailover: when the remaining request deadline cannot
 // cover another attempt, the walk stops with a 504 and a partial-attempt
-// log line instead of starting a doomed downstream request.
+// log line instead of starting a doomed downstream request. The proxy's
+// injected clock jumps a whole request timeout forward while the first
+// owner answers 503, so the deadline check runs on the fake clock.
 func TestDeadlineAwareFailover(t *testing.T) {
+	clock := newFakeClock()
 	p, stubs := newTestProxy(t, 2, func(c *proxyConfig) {
 		c.timeout = 500 * time.Millisecond
-		c.minAttempt = 250 * time.Millisecond
+		c.now = clock.Now
+	})
+	p.client.Transport = roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		resp, err := http.DefaultTransport.RoundTrip(req)
+		clock.Advance(time.Since(clock.Now()) + p.cfg.timeout)
+		return resp, err
 	})
 	var logBuf bytes.Buffer
 	p.Logger = log.New(&logBuf, "", 0)
@@ -240,9 +248,7 @@ func TestDeadlineAwareFailover(t *testing.T) {
 
 	s, tt := 3, 170
 	targets := st.router.Route(st.fp, s, tt)
-	slow := stubByURL(stubs, targets[0].Member)
-	slow.delay.Store(int64(300 * time.Millisecond))
-	slow.fail.Store(true)
+	stubByURL(stubs, targets[0].Member).fail.Store(true)
 
 	body, code := pairViaProxy(t, h, s, tt)
 	if code != http.StatusGatewayTimeout {
@@ -252,10 +258,64 @@ func TestDeadlineAwareFailover(t *testing.T) {
 		t.Fatalf("error code %v, want deadline_budget_exhausted", got)
 	}
 	if n := stubByURL(stubs, targets[1].Member).hits.Load(); n != 0 {
-		t.Fatalf("second owner was contacted %d times with <%v of deadline left", n, p.cfg.minAttempt)
+		t.Fatalf("second owner was contacted %d times with <%v of deadline left", n, minAttempt)
 	}
 	if !strings.Contains(logBuf.String(), "stopping failover") {
 		t.Fatalf("no partial-attempt log line, got %q", logBuf.String())
+	}
+}
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// TestShedReplicaKeepsBreakerClosed: a 429 is load shedding, not a fault.
+// A replica that only sheds never records a breaker failure, so it serves
+// again the moment it stops shedding, and shed pairs still fail over to a
+// healthy second owner.
+func TestShedReplicaKeepsBreakerClosed(t *testing.T) {
+	clock := newFakeClock()
+	withBreakers := func(c *proxyConfig) {
+		c.breakerWindow = 10 * time.Second
+		c.now = clock.Now
+	}
+	p, stubs := newTestProxy(t, 1, withBreakers)
+	h := p.routes()
+	stubs[0].limit.Store(true)
+	for i := 0; i < 40; i++ {
+		if body, code := pairViaProxy(t, h, 3, 170); code != http.StatusServiceUnavailable {
+			t.Fatalf("query %d to the only, shedding owner: status %d body %v, want 503", i, code, body)
+		}
+	}
+	if got := p.metrics.BreakerOpens.Load(); got != 0 {
+		t.Fatalf("BreakerOpens = %d after 40 shed attempts, want 0", got)
+	}
+	if got := p.replicas[0].breaker.State(); got != breaker.Closed {
+		t.Fatalf("shedding replica's breaker is %v, want closed", got)
+	}
+	stubs[0].limit.Store(false)
+	if body, code := pairViaProxy(t, h, 3, 170); code != http.StatusOK {
+		t.Fatalf("first query after shedding stopped: status %d body %v, want 200", code, body)
+	}
+
+	p, stubs = newTestProxy(t, 2, withBreakers)
+	h = p.routes()
+	st := p.state.Load()
+	s, tt := 10, 150
+	targets := st.router.Route(st.fp, s, tt)
+	stubByURL(stubs, targets[0].Member).limit.Store(true)
+	for i := 0; i < 40; i++ {
+		body, code := pairViaProxy(t, h, s, tt)
+		if code != http.StatusOK || body["replica"] != targets[1].Member {
+			t.Fatalf("query %d: status %d served by %v, want 200 from %s", i, code, body["replica"], targets[1].Member)
+		}
+	}
+	if got := p.metrics.ShardFailovers.Load(); got != 40 {
+		t.Fatalf("ShardFailovers = %d, want one per shed query (40)", got)
+	}
+	if got := p.metrics.BreakerOpens.Load(); got != 0 {
+		t.Fatalf("BreakerOpens = %d with one shedding owner, want 0", got)
 	}
 }
 
@@ -418,6 +478,35 @@ func TestBatchPartialFailure(t *testing.T) {
 	}
 	if msg, _ := errObj["message"].(string); msg == "" {
 		t.Fatal("per-pair error has no message")
+	}
+}
+
+// TestBatchRetryAfter: a batch reply carries the largest downstream
+// Retry-After among its failed pairs, and no header when no failed pair
+// had one.
+func TestBatchRetryAfter(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*stubReplica)
+		want string
+	}{
+		{"shed", func(sr *stubReplica) { sr.limit.Store(true) }, "1"}, // stub 429s carry Retry-After: 1
+		{"failing", func(sr *stubReplica) { sr.failS.Store(9) }, ""},
+	} {
+		p, stubs := newTestProxy(t, 2, nil)
+		for _, sr := range stubs {
+			tc.set(sr)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/v1/batch",
+			strings.NewReader(`{"pairs":[{"s":9,"t":170},{"s":9,"t":44}]}`))
+		rec := httptest.NewRecorder()
+		p.routes().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: batch status %d, want 200", tc.name, rec.Code)
+		}
+		if got := rec.Header().Get("Retry-After"); got != tc.want {
+			t.Fatalf("%s: batch Retry-After %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }
 

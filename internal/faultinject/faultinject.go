@@ -105,13 +105,53 @@ type Fault struct {
 	Count int64
 }
 
+// Schedule is the firing discipline every fault shares: skip the first
+// After hits, then fire on every Every-th eligible hit (default 1), at
+// most Count times (0 = unlimited). Its counters make it stateful, so it
+// is used through a pointer; safe for concurrent use.
+type Schedule struct {
+	After, Every, Count int64
+
+	hits, fires atomic.Int64
+}
+
+// Due counts one hit and reports whether the schedule fires on it,
+// reserving a fire slot under Count so concurrent hits never overshoot.
+func (s *Schedule) Due() bool {
+	hit := s.hits.Add(1)
+	if hit <= s.After {
+		return false
+	}
+	every := s.Every
+	if every <= 0 {
+		every = 1
+	}
+	if (hit-s.After-1)%every != 0 {
+		return false
+	}
+	for {
+		n := s.fires.Load()
+		if s.Count > 0 && n >= s.Count {
+			return false
+		}
+		if s.fires.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// Hits reports how many hits Due has counted.
+func (s *Schedule) Hits() int64 { return s.hits.Load() }
+
+// Fires reports how many of those hits fired.
+func (s *Schedule) Fires() int64 { return s.fires.Load() }
+
 // Hook is one armed fault at one site. The pointer returned by At is nil
 // when the site is disarmed; all methods are nil-receiver safe.
 type Hook struct {
 	site  Site
 	f     Fault
-	hits  atomic.Int64
-	fires atomic.Int64
+	sched Schedule
 }
 
 // Fire counts one hit and injects the armed fault if its schedule says so.
@@ -119,33 +159,8 @@ type Hook struct {
 // schedule skips this hit; otherwise it sleeps the configured latency and
 // then returns the typed error or panics. Safe for concurrent use.
 func (h *Hook) Fire() error {
-	if h == nil {
+	if h == nil || !h.sched.Due() {
 		return nil
-	}
-	hit := h.hits.Add(1)
-	if hit <= h.f.After {
-		return nil
-	}
-	every := h.f.Every
-	if every <= 0 {
-		every = 1
-	}
-	if (hit-h.f.After-1)%every != 0 {
-		return nil
-	}
-	if h.f.Count > 0 {
-		// Reserve a fire slot; hits past Count skip without counting.
-		for {
-			n := h.fires.Load()
-			if n >= h.f.Count {
-				return nil
-			}
-			if h.fires.CompareAndSwap(n, n+1) {
-				break
-			}
-		}
-	} else {
-		h.fires.Add(1)
 	}
 	if h.f.Latency > 0 {
 		time.Sleep(h.f.Latency)
@@ -192,7 +207,7 @@ func Arm(site Site, f Fault) {
 			next[s] = h
 		}
 	}
-	next[site] = &Hook{site: site, f: f}
+	next[site] = &Hook{site: site, f: f, sched: Schedule{After: f.After, Every: f.Every, Count: f.Count}}
 	armed.Store(&next)
 }
 
@@ -231,7 +246,7 @@ func Reset() {
 // (0 when disarmed). Tests use it to prove a hook point is actually wired.
 func Hits(site Site) int64 {
 	if h := At(site); h != nil {
-		return h.hits.Load()
+		return h.sched.Hits()
 	}
 	return 0
 }
@@ -239,7 +254,7 @@ func Hits(site Site) int64 {
 // Fires reports how many times the armed hook at site has fired.
 func Fires(site Site) int64 {
 	if h := At(site); h != nil {
-		return h.fires.Load()
+		return h.sched.Fires()
 	}
 	return 0
 }

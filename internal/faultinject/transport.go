@@ -98,8 +98,7 @@ type transportRule struct {
 	host     string // exact req.URL.Host match; "" matches every host
 	path     string // req.URL.Path prefix match; "" matches every path
 	f        TransportFault
-	hits     atomic.Int64
-	fires    atomic.Int64
+	sched    Schedule
 	disarmed atomic.Bool
 }
 
@@ -115,35 +114,6 @@ func (r *transportRule) matches(req *http.Request) bool {
 	if r.path != "" && !strings.HasPrefix(req.URL.Path, r.path) {
 		return false
 	}
-	return true
-}
-
-// due counts one matching request and reports whether the schedule fires
-// on it, reserving a fire slot under Count exactly like Hook.Fire.
-func (r *transportRule) due() bool {
-	hit := r.hits.Add(1)
-	if hit <= r.f.After {
-		return false
-	}
-	every := r.f.Every
-	if every <= 0 {
-		every = 1
-	}
-	if (hit-r.f.After-1)%every != 0 {
-		return false
-	}
-	if r.f.Count > 0 {
-		for {
-			n := r.fires.Load()
-			if n >= r.f.Count {
-				return false
-			}
-			if r.fires.CompareAndSwap(n, n+1) {
-				return true
-			}
-		}
-	}
-	r.fires.Add(1)
 	return true
 }
 
@@ -174,7 +144,8 @@ func NewChaos(base http.RoundTripper) *Chaos {
 func (c *Chaos) Arm(host, path string, f TransportFault) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.rules = append(c.rules, &transportRule{host: host, path: path, f: f})
+	c.rules = append(c.rules, &transportRule{host: host, path: path, f: f,
+		sched: Schedule{After: f.After, Every: f.Every, Count: f.Count}})
 	return len(c.rules) - 1
 }
 
@@ -198,7 +169,7 @@ func (c *Chaos) Fired(i int) int64 {
 	if i < 0 || i >= len(c.rules) {
 		return 0
 	}
-	return c.rules[i].fires.Load()
+	return c.rules[i].sched.Fires()
 }
 
 // RoundTrip implements http.RoundTripper.
@@ -207,7 +178,7 @@ func (c *Chaos) RoundTrip(req *http.Request) (*http.Response, error) {
 	rules := c.rules
 	c.mu.Unlock()
 	for _, r := range rules {
-		if !r.matches(req) || !r.due() {
+		if !r.matches(req) || !r.sched.Due() {
 			continue
 		}
 		return c.inject(r.f, req)
